@@ -1,6 +1,6 @@
 // Textual (de)serialization of BDDs.
 //
-// Current format (v2, complement-edge aware):
+// Format (v2, complement-edge aware):
 //   bdd2 <varCount> <nodeCount> <rootRef>
 //   <id> <var> <lowRef> <highRef>         (nodeCount lines)
 //
@@ -9,14 +9,8 @@
 // ids 1.. in bottom-up order (children always precede their parents).
 // The writer walks the shared graph directly — one row per NODE, so a
 // function and its negation serialize to the same table — and the loader
-// rebuilds with the public algebra, re-canonicalizing on the fly.
-//
-// Legacy format (v1, pre-complement):
-//   bdd <varCount> <nodeCount> <rootRef>
-//   <ref> <var> <lowRef> <highRef>        (nodeCount lines)
-// with untagged refs, 0 = false, 1 = true, internal refs 2.. bottom-up.
-// loadBdd still accepts it, so files written before the complement-edge
-// representation keep loading; only the writer moved to v2.
+// rebuilds with the public algebra, re-canonicalizing on the fly. The
+// pre-complement v1 format ("bdd" header) is no longer accepted.
 #include <algorithm>
 #include <functional>
 #include <istream>
@@ -70,58 +64,26 @@ namespace {
 /// and failing the header beats looping over 2^64 declared rows.
 constexpr std::uint64_t kMaxSerializedNodes = std::uint64_t{1} << 28;
 
-/// Legacy v1 table: untagged refs, 0 = false, 1 = true, rows 2.. .
-Bdd loadV1(std::istream& is, Manager& manager, std::uint64_t varCount,
-           std::uint64_t nodeCount, std::uint64_t root) {
-  std::unordered_map<std::uint64_t, Bdd> byRef;
-  byRef.emplace(0, manager.falseBdd());
-  byRef.emplace(1, manager.trueBdd());
-  auto resolve = [&](std::uint64_t r) -> const Bdd& {
-    const auto it = byRef.find(r);
-    if (it == byRef.end()) {
-      throw std::runtime_error("loadBdd: forward or dangling reference");
-    }
-    return it->second;
-  };
-  // v1 refs are node ids: 0/1 terminals plus rows 2 .. nodeCount+1.
-  if (root > nodeCount + 1) {
-    throw std::runtime_error("loadBdd: root reference out of range");
+}  // namespace
+
+Bdd loadBdd(std::istream& is, Manager& manager) {
+  std::string magic;
+  std::uint64_t varCount = 0;
+  std::uint64_t nodeCount = 0;
+  std::uint64_t root = 0;
+  if (!(is >> magic >> varCount >> nodeCount >> root) || magic != "bdd2") {
+    throw std::runtime_error("loadBdd: bad header");
+  }
+  if (varCount > manager.varCount()) {
+    throw std::runtime_error("loadBdd: function uses more variables than "
+                             "the manager has");
+  }
+  if (nodeCount > kMaxSerializedNodes) {
+    throw std::runtime_error("loadBdd: declared node count is implausibly "
+                             "large");
   }
 
-  for (std::uint64_t i = 0; i < nodeCount; ++i) {
-    std::uint64_t id = 0;
-    Var var = 0;
-    std::uint64_t lowRef = 0;
-    std::uint64_t highRef = 0;
-    if (!(is >> id >> var >> lowRef >> highRef)) {
-      throw std::runtime_error("loadBdd: truncated node table");
-    }
-    if (var >= varCount || byRef.contains(id) || id < 2 ||
-        id > nodeCount + 1) {
-      throw std::runtime_error("loadBdd: malformed node row");
-    }
-    const Bdd low = resolve(lowRef);
-    const Bdd high = resolve(highRef);
-    // Re-canonicalize through the public algebra: ite on the projection.
-    const Bdd node = manager.var(var).ite(high, low);
-    // Sanity: a non-redundant row must actually depend on `var`. (The
-    // stricter "top of support == var" does not hold when the loading
-    // manager's dynamic variable order differs from the saving one's;
-    // ite() re-canonicalizes to the current order either way.)
-    if (!(low == high)) {
-      const auto sup = node.support();
-      if (std::find(sup.begin(), sup.end(), var) == sup.end()) {
-        throw std::runtime_error("loadBdd: variable order violation");
-      }
-    }
-    byRef.emplace(id, node);
-  }
-  return resolve(root);
-}
-
-/// v2 table: tagged refs (id << 1) | sign, id 0 = TRUE terminal, rows 1.. .
-Bdd loadV2(std::istream& is, Manager& manager, std::uint64_t varCount,
-           std::uint64_t nodeCount, std::uint64_t root) {
+  // Tagged refs (id << 1) | sign, id 0 = TRUE terminal, rows 1.. .
   std::unordered_map<std::uint64_t, Bdd> byId;
   byId.emplace(0, manager.trueBdd());
   auto resolve = [&](std::uint64_t r) -> Bdd {
@@ -131,7 +93,7 @@ Bdd loadV2(std::istream& is, Manager& manager, std::uint64_t varCount,
     }
     return (r & 1) != 0 ? !it->second : it->second;
   };
-  // v2 refs are tagged (id << 1) | sign with ids 0 (terminal) .. nodeCount.
+  // Ids run from 0 (terminal) to nodeCount.
   if ((root >> 1) > nodeCount) {
     throw std::runtime_error("loadBdd: root reference out of range");
   }
@@ -149,7 +111,12 @@ Bdd loadV2(std::istream& is, Manager& manager, std::uint64_t varCount,
     }
     const Bdd low = resolve(lowRef);
     const Bdd high = resolve(highRef);
+    // Re-canonicalize through the public algebra: ite on the projection.
     const Bdd node = manager.var(var).ite(high, low);
+    // Sanity: a non-redundant row must actually depend on `var`. (The
+    // stricter "top of support == var" does not hold when the loading
+    // manager's dynamic variable order differs from the saving one's;
+    // ite() re-canonicalizes to the current order either way.)
     if (!(low == high)) {
       const auto sup = node.support();
       if (std::find(sup.begin(), sup.end(), var) == sup.end()) {
@@ -159,29 +126,6 @@ Bdd loadV2(std::istream& is, Manager& manager, std::uint64_t varCount,
     byId.emplace(id, node);
   }
   return resolve(root);
-}
-
-}  // namespace
-
-Bdd loadBdd(std::istream& is, Manager& manager) {
-  std::string magic;
-  std::uint64_t varCount = 0;
-  std::uint64_t nodeCount = 0;
-  std::uint64_t root = 0;
-  if (!(is >> magic >> varCount >> nodeCount >> root) ||
-      (magic != "bdd" && magic != "bdd2")) {
-    throw std::runtime_error("loadBdd: bad header");
-  }
-  if (varCount > manager.varCount()) {
-    throw std::runtime_error("loadBdd: function uses more variables than "
-                             "the manager has");
-  }
-  if (nodeCount > kMaxSerializedNodes) {
-    throw std::runtime_error("loadBdd: declared node count is implausibly "
-                             "large");
-  }
-  return magic == "bdd2" ? loadV2(is, manager, varCount, nodeCount, root)
-                         : loadV1(is, manager, varCount, nodeCount, root);
 }
 
 }  // namespace stsyn::bdd

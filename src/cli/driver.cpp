@@ -100,8 +100,8 @@ int runWeak(const symbolic::SymbolicProtocol& sp,
             const symbolic::Encoding& enc, const Options& opt,
             Report& report, std::ostream& out) {
   report.mode = "weak";
-  const core::WeakResult w = core::addWeakConvergence(
-      sp, opt.strong.imagePolicy, opt.strong.imageWorkers);
+  const core::WeakResult w =
+      core::addWeakConvergence(sp, opt.strong.imagePolicy);
   report.stats = w.stats;
   report.haveStats = true;
   report.success = report.verified = w.success;
@@ -133,7 +133,6 @@ int runPortfolio(const protocol::Protocol& p, const Options& opt,
   core::PortfolioOptions popt;
   popt.threads = opt.portfolio;
   popt.policies = opt.policies;
-  popt.imageWorkers = opt.strong.imageWorkers;
   popt.encoding = opt.encoding;
   popt.orbitPrune = opt.orbitPrune;
   const core::PortfolioResult pr =

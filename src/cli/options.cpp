@@ -1,9 +1,7 @@
 #include "cli/options.hpp"
 
-#include <algorithm>
 #include <cstring>
 #include <ostream>
-#include <thread>
 
 namespace stsyn::cli {
 
@@ -24,7 +22,7 @@ std::optional<std::uint64_t> parseUint(std::string_view s,
 int usage(std::ostream& err) {
   err << "usage: stsyn <protocol.stsyn> [--weak] [--schedule P1,P0,...]"
          " [--max-pass N] [--no-greedy] [--image-policy"
-         " monolithic|perprocess|auto|both] [--image-workers N]"
+         " monolithic|perprocess|auto|both]"
          " [--var-order declared|static] [--orbit-prune]"
          " [--timeout MS] [--print] [--quiet]"
          " [--stats-json FILE] [--trace FILE]\n"
@@ -117,15 +115,6 @@ int parseArgs(int argc, const char* const* argv, Options& out,
       varOrderArg = argv[++i];
     } else if (!std::strcmp(a, "--orbit-prune")) {
       out.orbitPrune = true;
-    } else if (!std::strcmp(a, "--image-workers") && i + 1 < argc) {
-      std::uint64_t n = 0;
-      if (!uintFlag("--image-workers", argv[++i], kMaxImageWorkers, n)) {
-        return usage(err);
-      }
-      // 0 = hardware concurrency, mirroring $STSYN_IMAGE_WORKERS.
-      out.strong.imageWorkers =
-          n == 0 ? std::max(1u, std::thread::hardware_concurrency())
-                 : static_cast<std::size_t>(n);
     } else if (!std::strcmp(a, "--output") && i + 1 < argc) {
       out.outputPath = argv[++i];
     } else if (!std::strcmp(a, "--stats-json") && i + 1 < argc) {

@@ -33,7 +33,6 @@ namespace stsyn::cli {
 
 /// Upper bounds for the numeric options, shared with the daemon.
 inline constexpr std::uint64_t kMaxPortfolioThreads = 4096;
-inline constexpr std::uint64_t kMaxImageWorkers = 4096;
 inline constexpr std::uint64_t kMaxTimeoutMs = 86'400'000;  // 24h
 inline constexpr std::uint64_t kMaxServeWorkers = 256;
 inline constexpr std::uint64_t kMaxQueueCapacity = 65'536;

@@ -1,7 +1,5 @@
 #include "core/heuristic.hpp"
 
-#include <cstdio>
-#include <cstdlib>
 #include <optional>
 #include <stdexcept>
 
@@ -32,27 +30,17 @@ const char* toString(Failure f) {
 
 namespace {
 
-/// STSYN_TRACE=1 echoes per-SCC-detection diagnostics to stderr (the
-/// structured copy always goes to the tracer). Cached: the synthesis loop
-/// used to call getenv on every detection.
-bool traceEnvEnabled() {
-  static const bool on = std::getenv("STSYN_TRACE") != nullptr;
-  return on;
-}
-
 /// Mutable synthesis state threaded through the passes. All fixpoints run
 /// through ImageEngines over the per-process parts of pss, so the policy
 /// decides between monolithic and partitioned products uniformly.
 class Synthesizer {
  public:
   Synthesizer(const SymbolicProtocol& sp, const Schedule& schedule,
-              SynthesisStats& stats, symbolic::ImagePolicy policy,
-              std::size_t workers)
+              SynthesisStats& stats, symbolic::ImagePolicy policy)
       : sp_(sp),
         schedule_(schedule),
         stats_(stats),
         policy_(policy),
-        workers_(workers == 0 ? 1 : workers),
         inv_(sp.invariant()),
         notI_(sp.enc().validCur() & !inv_),
         pssProc_(sp.processCount()),
@@ -62,7 +50,7 @@ class Synthesizer {
       added_[j] = sp.manager().falseBdd();
     }
     rebuildUnion();
-    engine_.emplace(sp_, pssProc_, policy_, workers_);
+    engine_.emplace(sp_, pssProc_, policy_);
     deadlocks_ = computeDeadlocks();
   }
 
@@ -89,7 +77,7 @@ class Synthesizer {
     }
     if (!sccs.components.empty()) {
       rebuildUnion();
-      engine_.emplace(sp_, pssProc_, policy_, workers_);
+      engine_.emplace(sp_, pssProc_, policy_);
       deadlocks_ = computeDeadlocks();
     }
     return true;
@@ -230,15 +218,10 @@ class Synthesizer {
 
   [[nodiscard]] symbolic::SccResult detectSccs(const ImageEngine& engine) {
     obs::AccumSpan timeIt(stats_.sccSeconds, "scc_detect", "scc");
-    util::Stopwatch trace;
     symbolic::SccResult r = symbolic::nontrivialSccs(engine, notI_);
     stats_.addEngine(engine.drainStats());
     timeIt.span().arg("components", r.components.size());
     timeIt.span().arg("symbolic_steps", r.symbolicSteps);
-    if (traceEnvEnabled()) {
-      std::fprintf(stderr, "detectSccs: %zu comps, %zu steps, %.2fs\n",
-                   r.components.size(), r.symbolicSteps, trace.seconds());
-    }
     stats_.sccDetectionCalls += 1;
     stats_.sccComponentsFound += r.components.size();
     stats_.sccSymbolicSteps += r.symbolicSteps;
@@ -255,7 +238,6 @@ class Synthesizer {
   const Schedule& schedule_;
   SynthesisStats& stats_;
   symbolic::ImagePolicy policy_;
-  std::size_t workers_ = 1;
   Bdd inv_;
   Bdd notI_;
   std::vector<Bdd> pssProc_;
@@ -273,9 +255,6 @@ StrongResult addStrongConvergence(const SymbolicProtocol& sp,
   util::Stopwatch total;
   obs::Span synthSpan("add_strong_convergence", "synthesis");
   synthSpan.arg("image_policy", symbolic::toString(options.imagePolicy));
-  synthSpan.arg("image_workers",
-                options.imageWorkers == 0 ? std::size_t{1}
-                                          : options.imageWorkers);
 
   Schedule schedule = options.schedule.empty()
                           ? identitySchedule(sp.processCount())
@@ -290,16 +269,12 @@ StrongResult addStrongConvergence(const SymbolicProtocol& sp,
 
   out.stats.imagePolicy = symbolic::toString(options.imagePolicy);
   out.stats.varOrder = symbolic::toString(sp.enc().varOrder());
-  out.stats.imageWorkers =
-      options.imageWorkers == 0 ? 1 : options.imageWorkers;
 
   // Preprocessing: ranking approximation (Section IV). Rank-infinity states
   // refute the existence of any stabilizing version (Theorem IV.1).
-  out.ranking =
-      computeRanks(sp, &out.stats, options.imagePolicy, options.imageWorkers);
+  out.ranking = computeRanks(sp, &out.stats, options.imagePolicy);
 
-  Synthesizer syn(sp, schedule, out.stats, options.imagePolicy,
-                  options.imageWorkers);
+  Synthesizer syn(sp, schedule, out.stats, options.imagePolicy);
 
   auto finish = [&](bool success, Failure failure) {
     out.success = success;

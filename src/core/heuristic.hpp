@@ -64,11 +64,9 @@ struct StrongOptions {
   /// partitioned products (see symbolic/frontier.hpp); the synthesized
   /// protocol is bit-identical either way.
   symbolic::ImagePolicy imagePolicy = symbolic::defaultImagePolicy();
-  /// Worker threads for partitioned per-process image products (1 =
-  /// sequential). Only the run's long-lived engines parallelize; the
-  /// per-candidate trial copies always run sequentially. The synthesized
-  /// protocol is bit-identical for every worker count.
-  std::size_t imageWorkers = symbolic::defaultImageWorkers();
+  /// Inert: image products are always sequential. Not settable; kept
+  /// because perfbench/ still reads it.
+  static constexpr std::size_t imageWorkers = 1;
 };
 
 struct StrongResult {

@@ -82,10 +82,6 @@ struct PortfolioOptions {
   /// Second portfolio axis; empty means the process-wide default policy
   /// only, so plain call sites get exactly one instance per schedule.
   std::vector<symbolic::ImagePolicy> policies;
-  /// Forwarded to each instance's StrongOptions (0 = process default).
-  /// The nested parallelism multiplies with `threads`, so portfolio
-  /// callers usually keep one axis at 1.
-  std::size_t imageWorkers = 0;
   /// Encoding seed (variable order) every instance is built with.
   symbolic::EncodingOptions encoding;
   /// Dedupe schedules equivalent under process symmetry orbits
@@ -118,7 +114,6 @@ struct PortfolioOptions {
 [[nodiscard]] PortfolioResult synthesizePortfolio(
     const protocol::Protocol& proto, const std::vector<Schedule>& schedules,
     unsigned threads = 0,
-    std::span<const symbolic::ImagePolicy> policies = {},
-    std::size_t imageWorkers = 0);
+    std::span<const symbolic::ImagePolicy> policies = {});
 
 }  // namespace stsyn::core

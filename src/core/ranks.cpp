@@ -11,8 +11,7 @@ namespace stsyn::core {
 using bdd::Bdd;
 
 Ranking computeRanks(const symbolic::SymbolicProtocol& sp,
-                     SynthesisStats* stats, symbolic::ImagePolicy policy,
-                     std::size_t workers) {
+                     SynthesisStats* stats, symbolic::ImagePolicy policy) {
   double elapsed = 0.0;
   Ranking out;
   std::size_t frontierSteps = 0;
@@ -34,8 +33,7 @@ Ranking computeRanks(const symbolic::SymbolicProtocol& sp,
       const Bdd touchingI = sp.groupExpand(j, all & inv);
       pimParts.push_back(sp.processRelation(j) | (all & !touchingI));
     }
-    const symbolic::ImageEngine engine(sp, std::move(pimParts), policy,
-                                       workers);
+    const symbolic::ImageEngine engine(sp, std::move(pimParts), policy);
     out.pim = engine.relation();
 
     // Step 2: backward BFS from I. Each iteration i collects the states
@@ -59,7 +57,6 @@ Ranking computeRanks(const symbolic::SymbolicProtocol& sp,
     timeIt.span().arg("ranks", out.maxRank());
     timeIt.span().arg("complete", out.complete());
     timeIt.span().arg("image_policy", symbolic::toString(engine.policy()));
-    timeIt.span().arg("image_workers", engine.workerCount());
     timeIt.span().arg("frontier_steps", frontierSteps);
   }
   if (stats != nullptr) {

@@ -44,12 +44,9 @@ struct Ranking {
 /// Runs both steps. If `stats` is non-null, ranking time, M, and the
 /// image-engine counters are accumulated into it. The backward BFS is
 /// frontier-based (each round quantifies only the newest rank) and runs
-/// over p_im kept as per-process parts, combined per `policy` and, when
-/// the engine partitions and `workers` > 1, computed by the parallel
-/// image pool (bit-identical results; see symbolic/parallel.hpp).
+/// over p_im kept as per-process parts, combined per `policy`.
 [[nodiscard]] Ranking computeRanks(
     const symbolic::SymbolicProtocol& sp, SynthesisStats* stats = nullptr,
-    symbolic::ImagePolicy policy = symbolic::defaultImagePolicy(),
-    std::size_t workers = symbolic::defaultImageWorkers());
+    symbolic::ImagePolicy policy = symbolic::defaultImagePolicy());
 
 }  // namespace stsyn::core

@@ -12,8 +12,6 @@ void SynthesisStats::addEngine(const symbolic::ImageEngineStats& e) {
   imageOps += e.imageCalls;
   preimageOps += e.preimageCalls;
   imagePartProducts += e.partProducts;
-  transferNodes += e.transferNodes;
-  if (e.reduceDepth > reduceDepth) reduceDepth = e.reduceDepth;
 }
 
 std::string SynthesisStats::summary() const {
@@ -70,9 +68,6 @@ void SynthesisStats::writeJson(obs::JsonWriter& w) const {
   w.field("image_part_products",
           static_cast<std::uint64_t>(imagePartProducts));
   w.field("frontier_steps", static_cast<std::uint64_t>(frontierSteps));
-  w.field("image_workers", static_cast<std::uint64_t>(imageWorkers));
-  w.field("transfer_nodes", static_cast<std::uint64_t>(transferNodes));
-  w.field("reduce_depth", static_cast<std::uint64_t>(reduceDepth));
   w.endObject();
 }
 

@@ -24,7 +24,10 @@ namespace stsyn::core {
 /// v2: the top-level document gained `cache_hit` and `deadline_exceeded`
 /// (always present, so consumers can branch on them without existence
 /// checks — that guarantee is the semantic change that forced the bump).
-inline constexpr int kStatsJsonSchemaVersion = 2;
+/// v3: the parallel image pool's three keys (its worker count, its
+/// cross-manager node copies and its OR-reduction depth) were removed
+/// with the pool; image products are always sequential.
+inline constexpr int kStatsJsonSchemaVersion = 3;
 
 struct SynthesisStats {
   double rankingSeconds = 0.0;
@@ -81,16 +84,6 @@ struct SynthesisStats {
   /// Backward-BFS rounds of the ranking fixpoint (frontier-based, so each
   /// round quantifies only the newest rank).
   std::size_t frontierSteps = 0;
-
-  /// Worker threads the run's partitioned image products were configured
-  /// with (1 = sequential; 0 when the run predates the setting).
-  std::size_t imageWorkers = 0;
-  /// BDD nodes copied across worker-local managers (shard replication,
-  /// frontier broadcast, result collection); 0 for sequential runs.
-  std::size_t transferNodes = 0;
-  /// Deepest balanced OR-reduction tree observed when combining per-part
-  /// products (worker-local plus main-side levels); 0 for sequential runs.
-  std::size_t reduceDepth = 0;
 
   /// Folds one engine's drained counters into this run's totals.
   void addEngine(const symbolic::ImageEngineStats& e);

@@ -24,9 +24,11 @@ struct WeakResult {
   SynthesisStats stats;
 };
 
+/// The trailing std::size_t is ignored; it is kept so perfbench/'s
+/// three-argument call still compiles.
 [[nodiscard]] WeakResult addWeakConvergence(
     const symbolic::SymbolicProtocol& sp,
     symbolic::ImagePolicy policy = symbolic::defaultImagePolicy(),
-    std::size_t workers = symbolic::defaultImageWorkers());
+    std::size_t /*ignored*/ = 1);
 
 }  // namespace stsyn::core

@@ -1,6 +1,9 @@
 #include "lang/printer.hpp"
 
+#include <cctype>
 #include <sstream>
+
+#include "lang/lexer.hpp"
 
 namespace stsyn::lang {
 
@@ -83,12 +86,29 @@ std::string expr(const protocol::ExprPtr& e,
   return os.str();
 }
 
+/// Maps `name` onto the lexer's identifier grammar [A-Za-z_][A-Za-z0-9_]*
+/// so the printed header parses back: every other character becomes '_',
+/// a leading digit or an empty name gets a '_' prefix, and a keyword gets
+/// a '_' suffix. Names that already lex as an identifier come back
+/// unchanged, so every parsed protocol prints byte-identically.
+std::string identifier(const std::string& name) {
+  std::string out = name;
+  for (char& c : out) {
+    if (!std::isalnum(static_cast<unsigned char>(c)) && c != '_') c = '_';
+  }
+  if (out.empty() || std::isdigit(static_cast<unsigned char>(out[0]))) {
+    out.insert(out.begin(), '_');
+  }
+  if (tokenize(out).front().kind != TokenKind::Identifier) out += '_';
+  return out;
+}
+
 }  // namespace
 
 std::string printProtocol(const protocol::Protocol& proto) {
   const std::vector<std::string> names = proto.varNames();
   std::ostringstream os;
-  os << "protocol " << proto.name << ";\n\n";
+  os << "protocol " << identifier(proto.name) << ";\n\n";
   for (const protocol::Variable& v : proto.vars) {
     os << "var " << v.name << " : 0.." << v.domain - 1 << ";\n";
   }

@@ -133,12 +133,6 @@ bool applyRequestOptions(const obs::JsonValue& opts, cli::Options& o,
         return false;
       }
       imagePolicy = value.str;
-    } else if (key == "image_workers") {
-      if (!getUint(value, cli::kMaxImageWorkers, n) || n == 0) {
-        error = "image_workers must be an unsigned integer in 1..4096";
-        return false;
-      }
-      o.strong.imageWorkers = static_cast<std::size_t>(n);
     } else if (key == "var_order") {
       if (value.kind != obs::JsonValue::Kind::String) {
         error = "var_order must be a string";
@@ -249,7 +243,6 @@ std::string optionsFingerprint(const cli::Options& o) {
   key << "mode=" << static_cast<int>(o.mode) << ";maxPass=" << o.strong.maxPass
       << ";greedy=" << o.strong.greedyCycleResolution
       << ";imagePolicy=" << symbolic::toString(o.strong.imagePolicy)
-      << ";imageWorkers=" << o.strong.imageWorkers
       << ";varOrder=" << static_cast<int>(o.encoding.varOrder)
       << ";portfolio=" << o.portfolio << ";orbitPrune=" << o.orbitPrune
       << ";schedule=" << o.scheduleArg << ";policies=";

@@ -5,10 +5,8 @@
 #include <cstdio>
 #include <cstdlib>
 #include <stdexcept>
-#include <thread>
 #include <utility>
 
-#include "symbolic/parallel.hpp"
 #include "util/cancel.hpp"
 
 namespace stsyn::symbolic {
@@ -56,40 +54,14 @@ ImagePolicy defaultImagePolicy() {
   return ImagePolicy::Auto;
 }
 
-std::size_t defaultImageWorkers() {
-  const char* env = std::getenv("STSYN_IMAGE_WORKERS");
-  if (env == nullptr || *env == '\0') return 1;
-  char* end = nullptr;
-  const unsigned long parsed = std::strtoul(env, &end, 10);
-  if (*env != '-' && end != env && *end == '\0') {
-    if (parsed == 0) {
-      const unsigned hc = std::thread::hardware_concurrency();
-      return hc == 0 ? 1 : hc;
-    }
-    return static_cast<std::size_t>(parsed);
-  }
-  static std::atomic<bool> warned{false};
-  if (!warned.exchange(true)) {
-    std::fprintf(stderr,
-                 "stsyn: ignoring unparseable STSYN_IMAGE_WORKERS '%s' "
-                 "(expected a non-negative integer, 0 = hardware threads)\n",
-                 env);
-  }
-  return 1;
-}
-
-bool ImageEngine::resolveAuto(std::size_t workers) const {
+bool ImageEngine::resolveAuto() const {
   std::size_t sum = 0;
   for (const Bdd& part : parts_) sum += part.nodeCount();
   if (sum < kAutoPartitionNodeThreshold) return false;
-  // With workers to feed, partitioning is what exposes the parallelism, so
-  // any engine past the small-size threshold partitions — per-part products
-  // run concurrently even when the union would have shared well.
-  if (workers > 1 && parts_.size() > 1) return true;
-  // Sequentially, partition only on union blow-up: accumulate the union
-  // (memoized for the monolithic products, which need it anyway) and bail
-  // out to the partitioned mode the moment the accumulation outgrows the
-  // parts' total — that both detects the blow-up and avoids paying for it.
+  // Partition only on union blow-up: accumulate the union (memoized for
+  // the monolithic products, which need it anyway) and bail out to the
+  // partitioned mode the moment the accumulation outgrows the parts'
+  // total — that both detects the blow-up and avoids paying for it.
   Bdd all = sp_->manager().falseBdd();
   for (const Bdd& part : parts_) {
     all |= part;
@@ -100,39 +72,15 @@ bool ImageEngine::resolveAuto(std::size_t workers) const {
 }
 
 ImageEngine::ImageEngine(const SymbolicProtocol& sp, std::vector<Bdd> parts,
-                         ImagePolicy policy, std::size_t workers)
-    : ImageEngine(PerProcessTag{}, sp, std::move(parts), policy, workers) {}
-
-ImageEngine::ImageEngine(PerProcessTag, const SymbolicProtocol& sp,
-                         std::vector<Bdd> parts, ImagePolicy policy,
-                         std::size_t workers)
-    : sp_(&sp),
-      parts_(std::move(parts)),
-      perProcess_(true),
-      workers_(workers == 0 ? 1 : workers) {
+                         ImagePolicy policy)
+    : sp_(&sp), parts_(std::move(parts)) {
   if (parts_.size() != sp.processCount()) {
     throw std::invalid_argument(
         "ImageEngine: per-process construction needs one part per process");
   }
   partitioned_ = policy == ImagePolicy::PerProcess ||
-                 (policy == ImagePolicy::Auto && resolveAuto(workers_));
-  if (partitioned_) {
-    buildProcessOps();
-    buildPool();
-  }
-}
-
-ImageEngine::ImageEngine(GenericTag, const SymbolicProtocol& sp,
-                         std::vector<Bdd> parts, ImagePolicy policy)
-    : sp_(&sp), parts_(std::move(parts)) {
-  partitioned_ = parts_.size() > 1 &&
-                 (policy == ImagePolicy::PerProcess ||
-                  (policy == ImagePolicy::Auto && resolveAuto(1)));
-}
-
-ImageEngine ImageEngine::generic(const SymbolicProtocol& sp,
-                                 std::vector<Bdd> parts, ImagePolicy policy) {
-  return ImageEngine(GenericTag{}, sp, std::move(parts), policy);
+                 (policy == ImagePolicy::Auto && resolveAuto());
+  if (partitioned_) buildProcessOps();
 }
 
 ImageEngine::ImageEngine(const SymbolicProtocol& sp, Bdd rel) : sp_(&sp) {
@@ -141,66 +89,13 @@ ImageEngine::ImageEngine(const SymbolicProtocol& sp, Bdd rel) : sp_(&sp) {
 }
 
 ImageEngine ImageEngine::forProtocol(const SymbolicProtocol& sp,
-                                     ImagePolicy policy, std::size_t workers) {
+                                     ImagePolicy policy) {
   std::vector<Bdd> parts;
   parts.reserve(sp.processCount());
   for (std::size_t j = 0; j < sp.processCount(); ++j) {
     parts.push_back(sp.processRelation(j));
   }
-  return ImageEngine(sp, std::move(parts), policy, workers);
-}
-
-ImageEngine::ImageEngine(const ImageEngine& other)
-    : sp_(other.sp_),
-      parts_(other.parts_),
-      ops_(other.ops_),
-      perProcess_(other.perProcess_),
-      partitioned_(other.partitioned_),
-      workers_(1),  // copies run sequentially; see the class comment
-      union_(other.union_),
-      stats_(other.stats_) {}
-
-ImageEngine& ImageEngine::operator=(const ImageEngine& other) {
-  if (this == &other) return *this;
-  sp_ = other.sp_;
-  parts_ = other.parts_;
-  ops_ = other.ops_;
-  perProcess_ = other.perProcess_;
-  partitioned_ = other.partitioned_;
-  workers_ = 1;
-  union_ = other.union_;
-  stats_ = other.stats_;
-  pool_.reset();
-  return *this;
-}
-
-ImageEngine::ImageEngine(ImageEngine&&) noexcept = default;
-ImageEngine& ImageEngine::operator=(ImageEngine&&) noexcept = default;
-ImageEngine::~ImageEngine() = default;
-
-std::size_t ImageEngine::workerCount() const {
-  return pool_ ? pool_->workerCount() : 1;
-}
-
-void ImageEngine::buildPool() {
-  pool_.reset();
-  if (!(perProcess_ && partitioned_)) return;
-  if (workers_ < 2 || parts_.size() < 2) return;
-  std::vector<ParallelPartSpec> specs;
-  specs.reserve(ops_.size());
-  for (std::size_t j = 0; j < ops_.size(); ++j) {
-    ParallelPartSpec spec;
-    spec.part = j;
-    spec.local = ops_[j].local;
-    spec.curWrittenVars = ops_[j].curWrittenVars;
-    spec.nextWrittenVars = ops_[j].nextWrittenVars;
-    spec.nextToCurWritten = ops_[j].nextToCurWritten;
-    spec.curToNextWritten = ops_[j].curToNextWritten;
-    specs.push_back(std::move(spec));
-  }
-  pool_ = std::make_unique<ParallelImagePool>(sp_->manager(), std::move(specs),
-                                              workers_);
-  stats_->transferNodes += pool_->replicationTransferNodes();
+  return ImageEngine(sp, std::move(parts), policy);
 }
 
 void ImageEngine::buildProcessOps() {
@@ -242,8 +137,6 @@ void ImageEngine::buildProcessOps() {
     op.curWrittenCube = m.cube(curW);
     op.nextWrittenCube = m.cube(nextW);
     op.nextUnwrittenCube = m.cube(nextUnwritten);
-    op.curWrittenVars = std::move(curW);
-    op.nextWrittenVars = std::move(nextW);
     stripFrame(j);
   }
 }
@@ -266,40 +159,17 @@ const Bdd& ImageEngine::relation() const {
   return union_;
 }
 
-namespace {
-
-/// Runs one pooled image/preimage and folds the pool's counters into the
-/// engine's stats.
-Bdd runPooled(ParallelImagePool& pool, ParallelImagePool::Kind kind,
-              const Bdd& s, const Bdd* within, ImageEngineStats& stats) {
-  PoolCounters c;
-  Bdd out = pool.run(kind, s, within, c);
-  stats.partProducts += c.partProducts;
-  stats.transferNodes += c.transferNodes;
-  if (c.reduceDepth > stats.reduceDepth) stats.reduceDepth = c.reduceDepth;
-  return out;
-}
-
-}  // namespace
-
 Bdd ImageEngine::imagePart(std::size_t i, const Bdd& s) const {
   ++stats_->partProducts;
-  if (perProcess_ && partitioned_) {
-    const ProcessOps& op = ops_[i];
-    return op.local.andExists(s, op.curWrittenCube)
-        .rename(op.nextToCurWritten);
-  }
-  return sp_->image(parts_[i], s);
+  const ProcessOps& op = ops_[i];
+  return op.local.andExists(s, op.curWrittenCube).rename(op.nextToCurWritten);
 }
 
 Bdd ImageEngine::preimagePart(std::size_t i, const Bdd& s) const {
   ++stats_->partProducts;
-  if (perProcess_ && partitioned_) {
-    const ProcessOps& op = ops_[i];
-    return op.local.andExists(s.rename(op.curToNextWritten),
-                              op.nextWrittenCube);
-  }
-  return sp_->preimage(parts_[i], s);
+  const ProcessOps& op = ops_[i];
+  return op.local.andExists(s.rename(op.curToNextWritten),
+                            op.nextWrittenCube);
 }
 
 Bdd ImageEngine::image(const Bdd& s) const {
@@ -312,10 +182,6 @@ Bdd ImageEngine::image(const Bdd& s) const {
   if (!partitioned_) {
     ++stats_->partProducts;
     return sp_->image(relation(), s);
-  }
-  if (pool_) {
-    return runPooled(*pool_, ParallelImagePool::Kind::Image, s, nullptr,
-                     *stats_);
   }
   Bdd out = sp_->manager().falseBdd();
   for (std::size_t i = 0; i < parts_.size(); ++i) {
@@ -332,10 +198,6 @@ Bdd ImageEngine::image(const Bdd& s, const Bdd& within) const {
     ++stats_->partProducts;
     return sp_->image(relation(), s) & within;
   }
-  if (pool_) {
-    return runPooled(*pool_, ParallelImagePool::Kind::Image, s, &within,
-                     *stats_);
-  }
   Bdd out = sp_->manager().falseBdd();
   for (std::size_t i = 0; i < parts_.size(); ++i) {
     if (parts_[i].isFalse()) continue;
@@ -351,10 +213,6 @@ Bdd ImageEngine::preimage(const Bdd& s) const {
     ++stats_->partProducts;
     return sp_->preimage(relation(), s);
   }
-  if (pool_) {
-    return runPooled(*pool_, ParallelImagePool::Kind::Preimage, s, nullptr,
-                     *stats_);
-  }
   Bdd out = sp_->manager().falseBdd();
   for (std::size_t i = 0; i < parts_.size(); ++i) {
     if (parts_[i].isFalse()) continue;
@@ -369,10 +227,6 @@ Bdd ImageEngine::preimage(const Bdd& s, const Bdd& within) const {
   if (!partitioned_) {
     ++stats_->partProducts;
     return sp_->preimage(relation(), s) & within;
-  }
-  if (pool_) {
-    return runPooled(*pool_, ParallelImagePool::Kind::Preimage, s, &within,
-                     *stats_);
   }
   Bdd out = sp_->manager().falseBdd();
   for (std::size_t i = 0; i < parts_.size(); ++i) {
@@ -390,8 +244,7 @@ Bdd ImageEngine::sources() const {
   for (std::size_t i = 0; i < parts_.size(); ++i) {
     if (parts_[i].isFalse()) continue;
     ++stats_->partProducts;
-    out |= perProcess_ ? ops_[i].local.exists(ops_[i].nextWrittenCube)
-                       : parts_[i].exists(enc.nextCube());
+    out |= ops_[i].local.exists(ops_[i].nextWrittenCube);
   }
   return out;
 }
@@ -405,15 +258,11 @@ Bdd ImageEngine::targets() const {
   for (std::size_t i = 0; i < parts_.size(); ++i) {
     if (parts_[i].isFalse()) continue;
     ++stats_->partProducts;
-    if (perProcess_) {
-      // A target assigns j's written variables from the next copy and
-      // keeps the source's values elsewhere, which is exactly the
-      // frame-free local relation with the written current copy dropped.
-      const ProcessOps& op = ops_[i];
-      out |= op.local.exists(op.curWrittenCube).rename(op.nextToCurWritten);
-    } else {
-      out |= enc.nextToCur(parts_[i].exists(enc.curCube()));
-    }
+    // A target assigns j's written variables from the next copy and keeps
+    // the source's values elsewhere, which is exactly the frame-free local
+    // relation with the written current copy dropped.
+    const ProcessOps& op = ops_[i];
+    out |= op.local.exists(op.curWrittenCube).rename(op.nextToCurWritten);
   }
   return out;
 }
@@ -426,7 +275,7 @@ ImageEngine ImageEngine::restricted(const Bdd& x) const {
   out.union_ = union_.valid() ? sp_->restrictRel(union_, x) : Bdd();
   for (std::size_t i = 0; i < out.parts_.size(); ++i) {
     out.parts_[i] = sp_->restrictRel(out.parts_[i], x);
-    if (perProcess_ && partitioned_) out.stripFrame(i);
+    if (partitioned_) out.stripFrame(i);
   }
   return out;
 }
@@ -434,26 +283,19 @@ ImageEngine ImageEngine::restricted(const Bdd& x) const {
 void ImageEngine::updatePart(std::size_t i, Bdd part) {
   parts_.at(i) = std::move(part);
   union_ = Bdd();
-  if (perProcess_ && partitioned_) {
-    stripFrame(i);
-    // A replacement (unlike growPart's monotone delta) invalidates the
-    // worker replica wholesale; rebuild the pool from the fresh locals.
-    if (pool_) buildPool();
-  }
+  if (partitioned_) stripFrame(i);
 }
 
 void ImageEngine::growPart(std::size_t i, const Bdd& delta) {
   parts_.at(i) |= delta;
   if (union_.valid()) union_ |= delta;
-  if (perProcess_ && partitioned_) {
+  if (partitioned_) {
     // exists distributes over the disjunction, so the local grows by the
     // frame-stripped delta instead of re-stripping the whole part.
     assert(delta.implies(sp_->frame(i)) &&
            "per-process ImageEngine delta violates its process frame");
     const Bdd stripped = delta.exists(ops_[i].nextUnwrittenCube);
     ops_[i].local |= stripped;
-    // Workers fold the queued delta into their replica at the next job.
-    if (pool_) pool_->growPart(i, stripped);
   }
 }
 

@@ -45,16 +45,14 @@ namespace stsyn::symbolic {
 enum class ImagePolicy {
   /// One product against the union of all parts (the historical scheme).
   Monolithic,
-  /// One product per part, never materializing the union; per-process
-  /// parts additionally use the small frame-stripped cubes above.
+  /// One product per process part, never materializing the union; each
+  /// product uses the small frame-stripped cubes above.
   PerProcess,
   /// Resolved per engine at construction from the measured shapes:
   /// PerProcess only when the materialized union outgrows the parts'
   /// summed node counts (sharing-starved union — per-part products then
   /// traverse fewer nodes than one product against the union), else
-  /// Monolithic. See kAutoPartitionNodeThreshold. With workers > 1 the
-  /// blow-up check is skipped: any engine past the size threshold
-  /// partitions, because partitioning is what exposes the parallelism.
+  /// Monolithic. See kAutoPartitionNodeThreshold.
   Auto,
 };
 
@@ -70,11 +68,9 @@ enum class ImagePolicy {
 /// engines (the old once-cached behavior silently ignored such changes).
 [[nodiscard]] ImagePolicy defaultImagePolicy();
 
-/// The process-wide default worker count for partitioned per-process
-/// engines: $STSYN_IMAGE_WORKERS when set to a positive integer, "0" for
-/// hardware concurrency, else 1 (sequential; unparseable values warn once
-/// on stderr). Re-read on every call, like defaultImagePolicy().
-[[nodiscard]] std::size_t defaultImageWorkers();
+/// Inert: image products are always sequential. Kept, reading no
+/// environment, because perfbench/ still prints it in its run banner.
+[[nodiscard]] constexpr std::size_t defaultImageWorkers() { return 1; }
 
 /// Below this many summed part nodes Auto always resolves Monolithic:
 /// the engine is too small for per-part bookkeeping to pay regardless of
@@ -97,68 +93,37 @@ struct ImageEngineStats {
   std::size_t imageCalls = 0;     ///< image() invocations
   std::size_t preimageCalls = 0;  ///< preimage() invocations
   std::size_t partProducts = 0;   ///< per-part relational products computed
-  std::size_t transferNodes = 0;  ///< nodes copied across worker managers
-  std::size_t reduceDepth = 0;    ///< max OR-reduction tree depth observed
 };
-
-class ParallelImagePool;
 
 /// A transition relation prepared for repeated image/preimage products.
 ///
-/// Three construction modes:
-///   * per-process partitioned (one part per process; part j must satisfy
-///     frame(j) — asserted in debug builds),
-///   * generic partitioned (any disjunctive split, no frame assumption:
-///     full quantification cubes, but still per-part products),
+/// Two construction modes:
+///   * per-process (one part per process; part j must satisfy frame(j) —
+///     asserted in debug builds), partitioned or monolithic per policy,
 ///   * monolithic (a single arbitrary relation).
 ///
 /// Engines are value types (cheap to copy relative to the fixpoints they
-/// serve) and confined to the SymbolicProtocol's manager thread.
+/// serve; copies share the stats counter) and confined to the
+/// SymbolicProtocol's manager thread.
 class ImageEngine {
  public:
-  /// Per-process partitioned engine: parts[j] holds process j's
-  /// transitions and must imply frame(j). parts.size() must equal
-  /// sp.processCount(). Auto resolves here from the part node counts.
-  /// `workers` > 1 spins up a ParallelImagePool (worker-local shadow
-  /// managers, see symbolic/parallel.hpp) when the engine resolves to a
-  /// partitioned per-process mode with at least two parts; results are
-  /// BDD-for-BDD identical to the sequential path.
+  /// Per-process engine: parts[j] holds process j's transitions and must
+  /// imply frame(j). parts.size() must equal sp.processCount(). Auto
+  /// resolves here from the part node counts.
   ImageEngine(const SymbolicProtocol& sp, std::vector<bdd::Bdd> parts,
-              ImagePolicy policy = defaultImagePolicy(),
-              std::size_t workers = defaultImageWorkers());
-
-  /// Generic partitioned engine over an arbitrary disjunctive split; no
-  /// frame structure is assumed, so products use the full state cubes.
-  /// Used by the span-of-parts SCC compatibility overloads.
-  static ImageEngine generic(const SymbolicProtocol& sp,
-                             std::vector<bdd::Bdd> parts,
-                             ImagePolicy policy = defaultImagePolicy());
+              ImagePolicy policy = defaultImagePolicy());
 
   /// Monolithic engine over one relation (policy is irrelevant).
   ImageEngine(const SymbolicProtocol& sp, bdd::Bdd rel);
 
   /// Engine over the input protocol's own per-process relations.
   [[nodiscard]] static ImageEngine forProtocol(
-      const SymbolicProtocol& sp, ImagePolicy policy = defaultImagePolicy(),
-      std::size_t workers = defaultImageWorkers());
-
-  /// Copies share the stats counter but DROP the worker pool: the
-  /// synthesis hot loop copies engines by the thousand (candidate
-  /// engines, restricted() trims), and replicating shards per copy would
-  /// swamp any parallel win. Copies therefore run sequentially.
-  ImageEngine(const ImageEngine& other);
-  ImageEngine& operator=(const ImageEngine& other);
-  ImageEngine(ImageEngine&&) noexcept;
-  ImageEngine& operator=(ImageEngine&&) noexcept;
-  ~ImageEngine();
+      const SymbolicProtocol& sp, ImagePolicy policy = defaultImagePolicy());
 
   [[nodiscard]] const SymbolicProtocol& sp() const { return *sp_; }
 
   /// True when products run per part (resolved policy).
   [[nodiscard]] bool partitioned() const { return partitioned_; }
-
-  /// Worker threads serving the per-part products (1 = sequential).
-  [[nodiscard]] std::size_t workerCount() const;
 
   /// The resolved policy (never Auto).
   [[nodiscard]] ImagePolicy policy() const {
@@ -216,23 +181,14 @@ class ImageEngine {
   }
 
  private:
-  struct PerProcessTag {};
-  struct GenericTag {};
-  ImageEngine(PerProcessTag, const SymbolicProtocol& sp,
-              std::vector<bdd::Bdd> parts, ImagePolicy policy,
-              std::size_t workers);
-  ImageEngine(GenericTag, const SymbolicProtocol& sp,
-              std::vector<bdd::Bdd> parts, ImagePolicy policy);
-
   void buildProcessOps();
   void stripFrame(std::size_t j);
-  void buildPool();
-  [[nodiscard]] bool resolveAuto(std::size_t workers) const;
+  [[nodiscard]] bool resolveAuto() const;
   [[nodiscard]] bdd::Bdd imagePart(std::size_t i, const bdd::Bdd& s) const;
   [[nodiscard]] bdd::Bdd preimagePart(std::size_t i, const bdd::Bdd& s) const;
 
   /// Per-process quantification cubes and partial renames (only in
-  /// per-process mode, aligned with parts_).
+  /// partitioned mode, aligned with parts_).
   struct ProcessOps {
     bdd::Bdd local;            ///< part with the frame conjuncts stripped
     bdd::Bdd curWrittenCube;   ///< cur levels of the written variables
@@ -240,25 +196,15 @@ class ImageEngine {
     bdd::Bdd nextUnwrittenCube;  ///< next levels of everything else
     std::vector<bdd::Var> nextToCurWritten;  ///< partial rename, next->cur
     std::vector<bdd::Var> curToNextWritten;  ///< partial rename, cur->next
-    /// Raw variable index lists behind the two written cubes, kept so the
-    /// worker pool can rebuild the cubes in its shadow managers (variable
-    /// indices are manager-independent; cube BDDs are not).
-    std::vector<bdd::Var> curWrittenVars;
-    std::vector<bdd::Var> nextWrittenVars;
   };
 
   const SymbolicProtocol* sp_ = nullptr;
   std::vector<bdd::Bdd> parts_;
-  std::vector<ProcessOps> ops_;  ///< empty unless per-process partitioned
-  bool perProcess_ = false;      ///< parts are per-process (frame structure)
+  std::vector<ProcessOps> ops_;  ///< empty unless partitioned
   bool partitioned_ = false;     ///< resolved policy
-  std::size_t workers_ = 1;      ///< requested workers (copies reset to 1)
   mutable bdd::Bdd union_;       ///< memoized relation(); null until built
   std::shared_ptr<ImageEngineStats> stats_ =
       std::make_shared<ImageEngineStats>();
-  /// Live only in partitioned per-process mode with workers_ > 1 and at
-  /// least two parts; null otherwise (and always null in copies).
-  std::unique_ptr<ParallelImagePool> pool_;
 };
 
 }  // namespace stsyn::symbolic

@@ -119,12 +119,6 @@ SccResult nontrivialSccs(const ImageEngine& engine, const Bdd& domain) {
   return result;
 }
 
-SccResult nontrivialSccs(const SymbolicProtocol& sp,
-                         std::span<const Bdd> parts, const Bdd& domain) {
-  return nontrivialSccs(
-      ImageEngine::generic(sp, {parts.begin(), parts.end()}), domain);
-}
-
 SccResult nontrivialSccs(const SymbolicProtocol& sp, const Bdd& rel,
                          const Bdd& domain) {
   return nontrivialSccs(ImageEngine(sp, rel), domain);
@@ -146,12 +140,6 @@ bool hasCycle(const ImageEngine& engine, const Bdd& domain) {
   span.arg("cyclic", cyclic);
   span.arg("symbolic_steps", steps);
   return cyclic;
-}
-
-bool hasCycle(const SymbolicProtocol& sp, std::span<const Bdd> parts,
-              const Bdd& domain) {
-  return hasCycle(ImageEngine::generic(sp, {parts.begin(), parts.end()}),
-                  domain);
 }
 
 bool hasCycle(const SymbolicProtocol& sp, const Bdd& rel, const Bdd& domain) {

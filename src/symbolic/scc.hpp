@@ -35,44 +35,15 @@ struct SccResult {
 [[nodiscard]] SccResult nontrivialSccs(const ImageEngine& engine,
                                        const bdd::Bdd& domain);
 
-/// Span-of-parts convenience overload (generic partitioned engine).
-[[nodiscard]] SccResult nontrivialSccs(const SymbolicProtocol& sp,
-                                       std::span<const bdd::Bdd> parts,
-                                       const bdd::Bdd& domain);
-
 /// Monolithic-relation convenience overload.
 [[nodiscard]] SccResult nontrivialSccs(const SymbolicProtocol& sp,
                                        const bdd::Bdd& rel,
                                        const bdd::Bdd& domain);
 
-/// The skeleton-based algorithm of Gentilini, Piazza and Policriti — the
-/// paper's reference [21] — which achieves a LINEAR number of symbolic
-/// steps by reusing a spine ("skeleton") of the forward search as pivots
-/// for the recursive calls. Functionally identical to nontrivialSccs
-/// (tested); kept as an alternative backend and for the
-/// bench/ablation_scc_algorithms comparison.
-[[nodiscard]] SccResult nontrivialSccsSkeleton(const ImageEngine& engine,
-                                               const bdd::Bdd& domain);
-
-/// Span-of-parts convenience overload (generic partitioned engine).
-[[nodiscard]] SccResult nontrivialSccsSkeleton(const SymbolicProtocol& sp,
-                                               std::span<const bdd::Bdd> parts,
-                                               const bdd::Bdd& domain);
-
-/// Monolithic-relation convenience overload.
-[[nodiscard]] SccResult nontrivialSccsSkeleton(const SymbolicProtocol& sp,
-                                               const bdd::Bdd& rel,
-                                               const bdd::Bdd& domain);
-
 /// True iff the engine's relation restricted to `domain` contains a cycle —
 /// equivalent to nontrivialSccs(...).components being non-empty but cheaper
 /// when the caller only needs a yes/no answer.
 [[nodiscard]] bool hasCycle(const ImageEngine& engine, const bdd::Bdd& domain);
-
-/// Span-of-parts convenience overload (generic partitioned engine).
-[[nodiscard]] bool hasCycle(const SymbolicProtocol& sp,
-                            std::span<const bdd::Bdd> parts,
-                            const bdd::Bdd& domain);
 
 /// Monolithic-relation convenience overload.
 [[nodiscard]] bool hasCycle(const SymbolicProtocol& sp, const bdd::Bdd& rel,

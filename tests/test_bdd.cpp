@@ -361,9 +361,10 @@ TEST(BddSerialize, ConstantsAndErrors) {
     saveBdd(buffer, m.trueBdd());
     EXPECT_TRUE(loadBdd(buffer, m).isTrue());
   }
-  {
-    std::stringstream bad("not-a-bdd 1 2 3");
-    EXPECT_THROW((void)loadBdd(bad, m), std::runtime_error);
+  for (const char* header : {"not-a-bdd 1 2 3", "bdd 3 0 1\n"}) {
+    // "bdd" is the retired pre-complement v1 format.
+    std::stringstream bad(header);
+    EXPECT_THROW((void)loadBdd(bad, m), std::runtime_error) << header;
   }
   {
     std::stringstream dangling("bdd 3 1 2\n2 0 7 1\n");
@@ -414,22 +415,6 @@ TEST(BddSerialize, ComplementedFunctionsRoundTripAndShareTheTable) {
   EXPECT_EQ(bufFalse.str(), "bdd2 6 0 1\n");
   std::stringstream inFalse(bufFalse.str());
   EXPECT_TRUE(loadBdd(inFalse, m2).isFalse());
-}
-
-TEST(BddSerialize, LoadsLegacyV1Documents) {
-  // A v1 document written before the complement-edge representation:
-  // untagged refs, 0 = false, 1 = true, internal ids from 2 bottom-up.
-  // This exact text is what the old writer produced for x0 & x1.
-  Manager m(2);
-  std::stringstream v1("bdd 2 2 3\n2 1 0 1\n3 0 0 2\n");
-  const Bdd f = loadBdd(v1, m);
-  EXPECT_EQ(f, m.var(0) & m.var(1));
-
-  // And a v1 document whose root is the FALSE ref still means false.
-  std::stringstream v1False("bdd 2 0 0\n");
-  EXPECT_TRUE(loadBdd(v1False, m).isFalse());
-  std::stringstream v1True("bdd 2 0 1\n");
-  EXPECT_TRUE(loadBdd(v1True, m).isTrue());
 }
 
 TEST(BddGc, CacheSweepEvictsEntriesWithOutOfRangeResults) {

@@ -79,7 +79,6 @@ TEST(ParseArgs, EveryNumericFlagRejectsGarbage) {
   const std::vector<std::vector<const char*>> bad = {
       {"p.stsyn", "--portfolio", "2x"},
       {"p.stsyn", "--portfolio", "-1"},
-      {"p.stsyn", "--image-workers", "many"},
       {"p.stsyn", "--max-pass", "0"},
       {"p.stsyn", "--max-pass", "4"},
       {"p.stsyn", "--max-pass", "two"},
@@ -103,12 +102,9 @@ TEST(ParseArgs, EveryNumericFlagRejectsGarbage) {
 
 TEST(ParseArgs, NumericFlagsInRangeParse) {
   cli::Options opt;
-  ASSERT_EQ(parse({"p.stsyn", "--portfolio", "4", "--image-workers", "3",
-                   "--max-pass", "2"},
-                  opt),
+  ASSERT_EQ(parse({"p.stsyn", "--portfolio", "4", "--max-pass", "2"}, opt),
             -1);
   EXPECT_EQ(opt.portfolio, 4u);
-  EXPECT_EQ(opt.strong.imageWorkers, 3u);
   EXPECT_EQ(opt.strong.maxPass, 2);
 }
 

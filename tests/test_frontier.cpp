@@ -4,10 +4,10 @@
 // copies, and the shared drain-style work counters.
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <cstdlib>
 #include <stdexcept>
 #include <string>
+#include <utility>
 
 #include "casestudies/coloring.hpp"
 #include "casestudies/token_ring.hpp"
@@ -52,12 +52,8 @@ TEST(ImageEngine, ResolvedPolicyPerMode) {
   EXPECT_EQ(part.policy(), ImagePolicy::PerProcess);
 
   // This protocol's per-process relations share heavily, so the union
-  // stays below the parts' total and Auto resolves monolithic. Workers are
-  // pinned to 1: with workers the Auto heuristic deliberately partitions
-  // past the size threshold (tested separately below), and this test must
-  // hold under any $STSYN_IMAGE_WORKERS (the TSan CI job exports 4).
-  const ImageEngine aut =
-      ImageEngine::forProtocol(f.sp, ImagePolicy::Auto, /*workers=*/1);
+  // stays below the parts' total and Auto resolves monolithic.
+  const ImageEngine aut = ImageEngine::forProtocol(f.sp, ImagePolicy::Auto);
   EXPECT_FALSE(aut.partitioned());
 
   const ImageEngine single(f.sp, f.sp.protocolRelation());
@@ -93,27 +89,6 @@ TEST(ImageEngine, ProductsMatchPlainSymbolicOps) {
     EXPECT_EQ(e.sources(), f.sp.sources(rel));
     EXPECT_EQ(e.targets(), f.enc.nextToCur(rel.exists(f.enc.curCube())));
   }
-}
-
-TEST(ImageEngine, GenericSplitNeedsNoFrameStructure) {
-  Fixture f;
-  const Bdd rel = f.sp.protocolRelation();
-  const Bdd inv = f.sp.invariant();
-  // Split by source-in-invariant: neither half satisfies any process
-  // frame, which the generic mode must tolerate.
-  const ImageEngine e = ImageEngine::generic(
-      f.sp, {rel & inv, rel & !inv}, ImagePolicy::PerProcess);
-  EXPECT_TRUE(e.partitioned());
-  EXPECT_EQ(e.relation(), rel);
-  const Bdd s = f.enc.validCur() & !inv;
-  EXPECT_EQ(e.image(s), f.sp.image(rel, s));
-  EXPECT_EQ(e.preimage(s), f.sp.preimage(rel, s));
-  EXPECT_EQ(e.sources(), f.sp.sources(rel));
-
-  // A single generic part never partitions (nothing to split).
-  const ImageEngine one =
-      ImageEngine::generic(f.sp, {rel}, ImagePolicy::PerProcess);
-  EXPECT_FALSE(one.partitioned());
 }
 
 TEST(ImageEngine, UpdateAndGrowPartKeepAllViewsConsistent) {
@@ -205,107 +180,40 @@ TEST(ImageEngine, AutoStaysMonolithicOnCompactUnions) {
     sum += parts.back().nodeCount();
   }
   ASSERT_GE(sum, symbolic::kAutoPartitionNodeThreshold);
-  // workers pinned to 1; parallel Auto resolution is tested below.
-  const ImageEngine e(sp, parts, ImagePolicy::Auto, /*workers=*/1);
+  const ImageEngine e(sp, parts, ImagePolicy::Auto);
   EXPECT_FALSE(e.partitioned());
   ASSERT_LE(e.relation().nodeCount(),
             symbolic::kAutoUnionBlowupFactor * sum);
 }
 
-TEST(ImageEngine, AutoPartitionsPastSizeThresholdWhenParallel) {
-  // With workers to feed, Auto skips the union-blow-up check: any engine
-  // past the size threshold partitions, because partitioning is what
-  // exposes the parallelism. Same construction as the test above, which
-  // asserts the sequential resolution stays monolithic.
-  const protocol::Protocol p = casestudies::coloring(16);
-  symbolic::Encoding enc(p);
-  symbolic::SymbolicProtocol sp(enc);
-  std::vector<Bdd> parts;
-  for (std::size_t j = 0; j < sp.processCount(); ++j) {
-    parts.push_back(sp.candidates(j));
-  }
-  const ImageEngine e(sp, parts, ImagePolicy::Auto, /*workers=*/4);
-  EXPECT_TRUE(e.partitioned());
-  EXPECT_EQ(e.workerCount(), 4u);
-}
-
-TEST(ImageEngine, ParallelProductsIdenticalToSequential) {
-  Fixture f;
-  const ImageEngine seq =
-      ImageEngine::forProtocol(f.sp, ImagePolicy::PerProcess, /*workers=*/1);
-  EXPECT_EQ(seq.workerCount(), 1u);
-  const Bdd inv = f.sp.invariant();
-  const Bdd valid = f.enc.validCur();
-  for (const std::size_t workers : {std::size_t{2}, std::size_t{4}}) {
-    const ImageEngine par =
-        ImageEngine::forProtocol(f.sp, ImagePolicy::PerProcess, workers);
-    EXPECT_EQ(par.workerCount(), std::min(workers, par.partCount()));
-    // Canonicity makes the comparison BDD-for-BDD: same manager, same
-    // function, same node.
-    for (const Bdd& s : {inv, valid & !inv, valid}) {
-      EXPECT_EQ(par.image(s), seq.image(s));
-      EXPECT_EQ(par.preimage(s), seq.preimage(s));
-      EXPECT_EQ(par.image(s, valid & !inv), seq.image(s, valid & !inv));
-      EXPECT_EQ(par.preimage(s, valid & !inv),
-                seq.preimage(s, valid & !inv));
-    }
-  }
-}
-
-TEST(ImageEngine, ParallelCountersMatchSequentialProductsAndAddTransfers) {
-  Fixture f;
-  const ImageEngine seq =
-      ImageEngine::forProtocol(f.sp, ImagePolicy::PerProcess, /*workers=*/1);
-  const ImageEngine par =
-      ImageEngine::forProtocol(f.sp, ImagePolicy::PerProcess, /*workers=*/2);
-  // Shard replication already moves nodes at construction.
-  EXPECT_GT(par.stats().transferNodes, 0u);
-  const Bdd s = f.enc.validCur();
-  (void)seq.image(s);
-  (void)par.image(s);
-  EXPECT_EQ(par.stats().partProducts, seq.stats().partProducts);
-  EXPECT_GE(par.stats().reduceDepth, 1u);
-  EXPECT_EQ(seq.stats().reduceDepth, 0u);
-}
-
-TEST(ImageEngine, ParallelGrowPartReachesWorkerReplicas) {
-  Fixture f;
-  ImageEngine par =
-      ImageEngine::forProtocol(f.sp, ImagePolicy::PerProcess, /*workers=*/2);
-  const Bdd delta = f.sp.candidates(1) & f.sp.invariant();
-  ASSERT_FALSE(delta.isFalse());
-  par.growPart(1, delta);
-  std::vector<Bdd> parts;
-  for (std::size_t j = 0; j < par.partCount(); ++j) {
-    parts.push_back(par.part(j));
-  }
-  const ImageEngine fresh(f.sp, parts, ImagePolicy::PerProcess, /*workers=*/1);
-  const Bdd s = f.enc.validCur();
-  EXPECT_EQ(par.image(s), fresh.image(s));
-  EXPECT_EQ(par.preimage(s), fresh.preimage(s));
-
-  // updatePart rebuilds the worker replicas wholesale (the delta path
-  // above only ever grows them).
-  par.updatePart(1, fresh.part(1).minus(delta));
-  std::vector<Bdd> shrunk = parts;
-  shrunk[1] = shrunk[1].minus(delta);
-  const ImageEngine fresh2(f.sp, shrunk, ImagePolicy::PerProcess,
-                           /*workers=*/1);
-  EXPECT_EQ(par.image(s), fresh2.image(s));
-}
-
 TEST(ImageEngine, CopiesDropTheWorkerPool) {
+  // The engine owns no worker pool or other per-instance resource, so a
+  // copy (the synthesis hot loop copies engines per candidate batch) or a
+  // move is a plain value: it computes the same products, and growing it
+  // leaves the original's parts and memoized union untouched.
   Fixture f;
-  const ImageEngine par =
-      ImageEngine::forProtocol(f.sp, ImagePolicy::PerProcess, /*workers=*/2);
-  ASSERT_EQ(par.workerCount(), 2u);
-  const ImageEngine copy(par);          // the hot loop's candidate copies
-  EXPECT_EQ(copy.workerCount(), 1u);
-  const ImageEngine r = par.restricted(f.enc.validCur());
-  EXPECT_EQ(r.workerCount(), 1u);
-  // Copies still compute the same functions, just sequentially.
-  const Bdd s = f.enc.validCur() & !f.sp.invariant();
-  EXPECT_EQ(copy.image(s), par.image(s));
+  for (const ImagePolicy policy :
+       {ImagePolicy::Monolithic, ImagePolicy::PerProcess}) {
+    const ImageEngine orig = ImageEngine::forProtocol(f.sp, policy);
+    const Bdd rel = orig.relation();  // memoize before copying
+    const Bdd part1 = orig.part(1);
+    ImageEngine copy(orig);
+    const Bdd s = f.enc.validCur() & !f.sp.invariant();
+    EXPECT_EQ(copy.image(s), orig.image(s));
+    EXPECT_EQ(copy.preimage(s), orig.preimage(s));
+
+    const Bdd delta = f.sp.candidates(1) & f.sp.invariant();
+    ASSERT_FALSE(delta.isFalse());
+    copy.growPart(1, delta);
+    EXPECT_EQ(copy.relation(), rel | delta);
+    EXPECT_EQ(orig.relation(), rel);
+    EXPECT_EQ(orig.part(1), part1);
+    EXPECT_EQ(orig.image(s), f.sp.image(rel, s));
+
+    const ImageEngine moved(std::move(copy));
+    EXPECT_EQ(moved.relation(), rel | delta);
+    EXPECT_EQ(moved.policy(), orig.policy());
+  }
 }
 
 /// Restores one environment variable on scope exit.
@@ -343,22 +251,6 @@ TEST(ImageEngineEnv, DefaultImagePolicyReReadsTheEnvironmentEveryCall) {
   EXPECT_EQ(symbolic::defaultImagePolicy(), ImagePolicy::Auto);
   ::setenv("STSYN_IMAGE_POLICY", "bogus", 1);
   EXPECT_EQ(symbolic::defaultImagePolicy(), ImagePolicy::Auto);
-}
-
-TEST(ImageEngineEnv, DefaultImageWorkersParsesAndReReadsTheEnvironment) {
-  const EnvGuard guard("STSYN_IMAGE_WORKERS");
-  ::unsetenv("STSYN_IMAGE_WORKERS");
-  EXPECT_EQ(symbolic::defaultImageWorkers(), 1u);
-  ::setenv("STSYN_IMAGE_WORKERS", "3", 1);
-  EXPECT_EQ(symbolic::defaultImageWorkers(), 3u);
-  ::setenv("STSYN_IMAGE_WORKERS", "0", 1);  // 0 = hardware concurrency
-  EXPECT_GE(symbolic::defaultImageWorkers(), 1u);
-  ::setenv("STSYN_IMAGE_WORKERS", "garbage", 1);
-  EXPECT_EQ(symbolic::defaultImageWorkers(), 1u);
-  ::setenv("STSYN_IMAGE_WORKERS", "-2", 1);
-  EXPECT_EQ(symbolic::defaultImageWorkers(), 1u);
-  ::setenv("STSYN_IMAGE_WORKERS", "2", 1);  // re-read, not latched
-  EXPECT_EQ(symbolic::defaultImageWorkers(), 2u);
 }
 
 }  // namespace

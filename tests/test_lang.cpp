@@ -2,6 +2,12 @@
 // printer round-trip.
 #include <gtest/gtest.h>
 
+#include <utility>
+
+#include "casestudies/coloring.hpp"
+#include "casestudies/matching.hpp"
+#include "casestudies/token_ring.hpp"
+#include "casestudies/two_ring.hpp"
 #include "explicitstate/semantics.hpp"
 #include "explicitstate/verify.hpp"
 #include "lang/parser.hpp"
@@ -263,22 +269,44 @@ TEST(Parser, SyntaxErrorsCarryPositions) {
 // ---------------------------------------------------------------------------
 
 TEST(Printer, RoundTripPreservesSemantics) {
-  const protocol::Protocol p1 = parseProtocol(kTokenRing);
-  const std::string printed = lang::printProtocol(p1);
-  const protocol::Protocol p2 = parseProtocol(printed);
+  // The case studies are built in code, and some carry names outside the
+  // identifier grammar (token-ring, two-ring): printing must still yield
+  // text that parses back.
+  std::vector<std::pair<const char*, protocol::Protocol>> inputs;
+  inputs.emplace_back("parsed token ring", parseProtocol(kTokenRing));
+  inputs.emplace_back("tokenRing(4,3)", casestudies::tokenRing(4, 3));
+  inputs.emplace_back("matching(5)", casestudies::matching(5));
+  inputs.emplace_back("coloring(5)", casestudies::coloring(5));
+  inputs.emplace_back("twoRing()", casestudies::twoRing());
+  inputs.emplace_back("matchingGoudaAcharyaAsPrinted(5)",
+                      casestudies::matchingGoudaAcharyaAsPrinted(5));
+  // Names that need more than a '-' -> '_' mapping: a keyword, a leading
+  // digit, and no name at all.
+  for (const char* name : {"process", "4ring", ""}) {
+    protocol::Protocol p = parseProtocol(kTokenRing);
+    p.name = name;
+    inputs.emplace_back(name, std::move(p));
+  }
+  for (const auto& [label, p1] : inputs) {
+    SCOPED_TRACE(label);
+    const std::string printed = lang::printProtocol(p1);
+    const protocol::Protocol p2 = parseProtocol(printed);
+    // print -> parse -> print is a fixed point.
+    EXPECT_EQ(lang::printProtocol(p2), printed);
 
-  // Same shape...
-  ASSERT_EQ(p1.varCount(), p2.varCount());
-  ASSERT_EQ(p1.processCount(), p2.processCount());
-  // ...and identical explicit semantics: same invariant set, same edges.
-  explicitstate::StateSpace s1(p1);
-  explicitstate::StateSpace s2(p2);
-  const auto t1 = explicitstate::buildTransitions(s1);
-  const auto t2 = explicitstate::buildTransitions(s2);
-  ASSERT_EQ(s1.size(), s2.size());
-  for (explicitstate::StateId s = 0; s < s1.size(); ++s) {
-    EXPECT_EQ(s1.inInvariant(s), s2.inInvariant(s)) << "state " << s;
-    EXPECT_EQ(t1.succ[s], t2.succ[s]) << "state " << s;
+    // Same shape...
+    ASSERT_EQ(p1.varCount(), p2.varCount());
+    ASSERT_EQ(p1.processCount(), p2.processCount());
+    // ...and identical explicit semantics: same invariant set, same edges.
+    explicitstate::StateSpace s1(p1);
+    explicitstate::StateSpace s2(p2);
+    const auto t1 = explicitstate::buildTransitions(s1);
+    const auto t2 = explicitstate::buildTransitions(s2);
+    ASSERT_EQ(s1.size(), s2.size());
+    for (explicitstate::StateId s = 0; s < s1.size(); ++s) {
+      EXPECT_EQ(s1.inInvariant(s), s2.inInvariant(s)) << "state " << s;
+      EXPECT_EQ(t1.succ[s], t2.succ[s]) << "state " << s;
+    }
   }
 }
 

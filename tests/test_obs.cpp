@@ -337,7 +337,8 @@ TEST(StatsJson, WriteJsonRoundTripsEveryField) {
   EXPECT_DOUBLE_EQ(doc->find("image_part_products")->number, 44.0);
   EXPECT_DOUBLE_EQ(doc->find("frontier_steps")->number, 6.0);
   // v2: cache_hit / deadline_exceeded became mandatory top-level keys.
-  EXPECT_EQ(core::kStatsJsonSchemaVersion, 2);
+  // v3: the parallel image pool's three keys were removed with the pool.
+  EXPECT_EQ(core::kStatsJsonSchemaVersion, 3);
 }
 
 // The human-readable summary is consumed by eyeballs and by the existing

@@ -194,66 +194,65 @@ TEST(SymbolicScc, TokenRingPaperCycleIsFound) {
   EXPECT_TRUE(found) << "paper's cycle state <1,2,1,0> not in any SCC";
 }
 
-class SkeletonSccRandom : public ::testing::TestWithParam<std::uint64_t> {};
-
-TEST_P(SkeletonSccRandom, AgreesWithLockstepAndTarjan) {
-  const int n = 24;
-  const protocol::Protocol p = counterProtocol(n);
-  const Encoding enc(p);
-  const SymbolicProtocol sp(enc);
-  const explicitstate::StateSpace space(p);
-
-  util::Rng rng(GetParam() * 31 + 5);
-  std::vector<std::pair<std::uint64_t, std::uint64_t>> edges;
-  const std::size_t edgeCount = 30 + rng.below(50);
-  for (std::size_t i = 0; i < edgeCount; ++i) {
-    edges.emplace_back(rng.below(n), rng.below(n));
-  }
-  const Bdd rel = relationOf(enc, sp, edges);
-
-  const auto lockstep =
-      canonical(enc, symbolic::nontrivialSccs(sp, rel, enc.validCur())
-                         .components);
-  const auto skeleton = canonical(
-      enc,
-      symbolic::nontrivialSccsSkeleton(sp, rel, enc.validCur()).components);
-  EXPECT_EQ(lockstep, skeleton) << "seed " << GetParam();
-}
-
-INSTANTIATE_TEST_SUITE_P(Seeds, SkeletonSccRandom,
-                         ::testing::Range<std::uint64_t>(0, 20));
-
 TEST(SkeletonScc, MatchingRecoveryGraphAgrees) {
+  // matching(5)'s weakest candidate recovery graph over ¬I: the lockstep
+  // routine, monolithic and per-process, must find Tarjan's components.
   const protocol::Protocol p = casestudies::matching(5);
   const Encoding enc(p);
   const SymbolicProtocol sp(enc);
   Bdd rel = enc.manager().falseBdd();
+  std::vector<Bdd> parts;
+  const Bdd notI = enc.validCur() & !sp.invariant();
   for (std::size_t j = 0; j < sp.processCount(); ++j) {
     const Bdd all = sp.candidates(j);
-    rel |= all & !sp.groupExpand(j, all & sp.invariant());
+    parts.push_back(
+        sp.restrictRel(all & !sp.groupExpand(j, all & sp.invariant()), notI));
+    rel |= parts.back();
   }
-  const Bdd notI = enc.validCur() & !sp.invariant();
-  rel = sp.restrictRel(rel, notI);
   const auto lockstep =
       canonical(enc, symbolic::nontrivialSccs(sp, rel, notI).components);
-  const auto skeleton = canonical(
-      enc, symbolic::nontrivialSccsSkeleton(sp, rel, notI).components);
-  EXPECT_EQ(lockstep, skeleton);
+  const symbolic::ImageEngine engine(sp, parts,
+                                     symbolic::ImagePolicy::PerProcess);
+  EXPECT_EQ(lockstep,
+            canonical(enc, symbolic::nontrivialSccs(engine, notI).components));
+
+  const explicitstate::StateSpace space(p);
+  std::vector<std::pair<explicitstate::StateId, explicitstate::StateId>> edges;
+  for (const auto& [from, to] : symbolic::decodeRelation(enc, rel)) {
+    edges.emplace_back(from, to);
+  }
+  const auto ts = explicitstate::fromEdges(space, edges);
+  std::vector<bool> domain(space.size());
+  for (explicitstate::StateId s = 0; s < space.size(); ++s) {
+    domain[s] = !space.inInvariant(s);
+  }
+  EXPECT_EQ(lockstep,
+            canonicalExplicit(explicitstate::nontrivialSccs(ts, domain)));
   EXPECT_FALSE(lockstep.empty());
 }
 
 TEST(SkeletonScc, EmptyAndAcyclicDomains) {
+  // Degenerate inputs: an empty relation, an empty domain around a cycle,
+  // and a domain that keeps only the acyclic tail of the graph.
   const protocol::Protocol p = counterProtocol(6);
   const Encoding enc(p);
   const SymbolicProtocol sp(enc);
-  const std::vector<std::pair<std::uint64_t, std::uint64_t>> chain{
-      {0, 1}, {1, 2}, {2, 3}};
-  const Bdd rel = relationOf(enc, sp, chain);
-  EXPECT_TRUE(symbolic::nontrivialSccsSkeleton(sp, rel, enc.validCur())
-                  .components.empty());
-  EXPECT_TRUE(symbolic::nontrivialSccsSkeleton(sp, enc.manager().falseBdd(),
-                                               enc.validCur())
-                  .components.empty());
+  const std::vector<std::pair<std::uint64_t, std::uint64_t>> edges{
+      {0, 1}, {1, 0}, {1, 2}, {2, 3}, {3, 4}};
+  const Bdd rel = relationOf(enc, sp, edges);
+  const Bdd none = enc.manager().falseBdd();
+  EXPECT_TRUE(
+      symbolic::nontrivialSccs(sp, none, enc.validCur()).components.empty());
+  EXPECT_FALSE(symbolic::hasCycle(sp, none, enc.validCur()));
+  EXPECT_TRUE(symbolic::nontrivialSccs(sp, rel, none).components.empty());
+  EXPECT_FALSE(symbolic::hasCycle(sp, rel, none));
+  const Bdd tail = enc.validCur() & !enc.stateBdd(std::vector<int>{0});
+  EXPECT_TRUE(symbolic::nontrivialSccs(sp, rel, tail).components.empty());
+  EXPECT_FALSE(symbolic::hasCycle(sp, rel, tail));
+  // The full domain still sees the 0 <-> 1 cycle.
+  EXPECT_EQ(canonical(enc, symbolic::nontrivialSccs(sp, rel, enc.validCur())
+                               .components),
+            (std::vector<std::vector<std::uint64_t>>{{0, 1}}));
 }
 
 TEST(PartitionedScc, AgreesWithMonolithic) {
@@ -272,11 +271,14 @@ TEST(PartitionedScc, AgreesWithMonolithic) {
   const auto mono = canonical(
       enc, symbolic::nontrivialSccs(sp, sp.restrictRel(rel, notI), notI)
                .components);
-  const auto part = canonical(
-      enc, symbolic::nontrivialSccs(sp, parts, notI).components);
+  const symbolic::ImageEngine engine(sp, parts,
+                                     symbolic::ImagePolicy::PerProcess);
+  ASSERT_TRUE(engine.partitioned());
+  const auto part =
+      canonical(enc, symbolic::nontrivialSccs(engine, notI).components);
   EXPECT_EQ(mono, part);
   EXPECT_EQ(symbolic::hasCycle(sp, rel, notI),
-            symbolic::hasCycle(sp, parts, notI));
+            symbolic::hasCycle(engine, notI));
 }
 
 TEST(IncrementalAcyclicity, CertainlyAcyclicWhenConeStaysClear) {

@@ -48,6 +48,9 @@ TEST(SerializeHardening, HeaderGarbage) {
   expectRejected("bdd 8 1");
   expectRejected("bdd3 8 0 0\n");
   expectRejected("BDD 8 0 0\n");
+  // The pre-complement v1 header is no longer accepted, not even for a
+  // well-formed v1 document (this one is v1's constant TRUE).
+  expectRejected("bdd 8 0 1\n");
   expectRejected("bdd2 zz 0 0\n");
   expectRejected("\x00\x01\x02\x03");
 }
@@ -69,7 +72,7 @@ TEST(SerializeHardening, RootReferenceOutOfRange) {
   expectRejected("bdd2 8 0 4\n");
   expectRejected("bdd2 8 1 6\n1 0 0 1\n");
   expectRejected("bdd2 8 0 -2\n");
-  // v1: refs run 0..nodeCount+1.
+  // Retired v1 documents with out-of-range roots: rejected at the header.
   expectRejected("bdd 8 0 2\n");
   expectRejected("bdd 8 1 7\n2 0 0 1\n");
 }
@@ -87,7 +90,8 @@ TEST(SerializeHardening, NodeRowViolations) {
   expectRejected("bdd2 8 2 4\n1 0 4 1\n2 1 0 1\n");
   // Dangling child reference.
   expectRejected("bdd2 8 1 2\n1 0 12 1\n");
-  // v1 equivalents: terminal collision, out-of-range id, dangling ref.
+  // Retired v1 rows (terminal collision, out-of-range id, dangling ref):
+  // rejected at the header.
   expectRejected("bdd 8 1 2\n1 0 0 1\n");
   expectRejected("bdd 8 1 2\n9 0 0 1\n");
   expectRejected("bdd 8 1 2\n2 0 7 1\n");

@@ -158,10 +158,14 @@ TEST(Serve, PingStatsAndInvalidRequests) {
       R"({"verb":"synthesize","protocol":"x","options":{"portfolio":"2x"}})"));
   EXPECT_EQ(badOption.find("kind")->str, "invalid_request");
 
-  auto unknownOption = parsed(roundTrip(
-      rs.port(),
-      R"({"verb":"synthesize","protocol":"x","options":{"threads":2}})"));
-  EXPECT_EQ(unknownOption.find("kind")->str, "invalid_request");
+  // The worker-count key of the removed parallel image pool is now as
+  // unknown as any other.
+  for (const char* option : {R"("threads":2)", R"("image_workers":2)"}) {
+    auto unknownOption = parsed(roundTrip(
+        rs.port(), std::string(R"({"verb":"synthesize","protocol":"x",)") +
+                       R"("options":{)" + option + "}}"));
+    EXPECT_EQ(unknownOption.find("kind")->str, "invalid_request") << option;
+  }
 
   auto parseError = parsed(roundTrip(
       rs.port(), R"({"verb":"synthesize","protocol":"protocol oops"})"));
@@ -171,7 +175,7 @@ TEST(Serve, PingStatsAndInvalidRequests) {
   // exactly one of synthesize / lint / inline / invalid, so the
   // reconciliation invariant `requests == synthesize + lint + inline +
   // invalid` holds with no leakage category.
-  EXPECT_EQ(rs.server.counters().invalid.load(), 6u);
+  EXPECT_EQ(rs.server.counters().invalid.load(), 7u);
 }
 
 TEST(Serve, CacheHitReplaysByteIdenticalResult) {
