@@ -72,10 +72,12 @@ Diagnosis diagnose(const SymbolicProtocol& sp, const StrongResult& result,
               sp.enc().stateBdd(s0) & sp.onNext(sp.enc().stateBdd(s1));
           const Bdd group = sp.groupExpand(j, member);
           pool = pool.minus(group);
-          if (symbolic::certainlyAcyclicIncrement(sp, result.relation, group,
-                                                  notI) ||
-              !symbolic::hasCycle(
-                  sp, sp.restrictRel(result.relation | group, notI), notI)) {
+          // The failed run's relation is acyclic outside I, so any cycle
+          // the group closes lies in its cone.
+          const symbolic::ImageEngine combined(sp, result.relation | group);
+          const symbolic::IncrementCone cone =
+              symbolic::incrementCone(combined, group, notI);
+          if (cone.empty() || !symbolic::hasCycle(combined, cone.states)) {
             return true;
           }
           if ((pool & sB).isFalse()) break;

@@ -64,7 +64,8 @@ class Synthesizer {
   /// removed; Problem III.1 only freezes delta_pss|I, and the resulting
   /// deadlocks are the passes' job to resolve.
   [[nodiscard]] bool removePreexistingCycles() {
-    const symbolic::SccResult sccs = detectSccs(*engine_);
+    // pss|¬I may hold cycles here, so no cone bounds them: scan all of ¬I.
+    const symbolic::SccResult sccs = detectSccs(*engine_, notI_, notI_);
     for (const Bdd& c : sccs.components) {
       const Bdd inC = c & sp_.onNext(c);
       for (std::size_t j = 0; j < sp_.processCount(); ++j) {
@@ -117,9 +118,9 @@ class Synthesizer {
           obs::AccumSpan timeIt(stats_.sccSeconds, "greedy_cycle_check",
                                 "scc");
           const ImageEngine candidate = withGroups(j, group);
-          cyclic = !symbolic::certainlyAcyclicIncrement(
-                       candidate, group, notI_, &stats_.sccSymbolicSteps) &&
-                   symbolic::hasCycle(candidate, notI_);
+          const symbolic::IncrementCone cone = symbolic::incrementCone(
+              candidate, group, notI_, &stats_.sccSymbolicSteps);
+          cyclic = !cone.empty() && symbolic::hasCycle(candidate, cone.states);
           stats_.addEngine(candidate.drainStats());
         }
         if (cyclic) continue;
@@ -168,22 +169,25 @@ class Synthesizer {
     if (groups.isFalse()) return;
 
     // Identify_Resolve_Cycles: SCCs of (pss ∪ groups)|¬I; every group with
-    // a transition inside a component is discarded. The incremental
-    // fast path skips detection when the batch provably closes no cycle
-    // (pss|¬I is acyclic by construction throughout the passes).
+    // a transition inside a component is discarded. pss|¬I is acyclic by
+    // construction throughout the passes, so every new SCC holds a batch
+    // edge and lies in the batch's cone: detection runs there only, seeded
+    // from the cone's sources, and is skipped when the cone is empty.
     const ImageEngine candidate = withGroups(j, groups);
+    symbolic::IncrementCone cone;
     {
       obs::AccumSpan timeIt(stats_.sccSeconds, "acyclic_increment", "scc");
-      const bool acyclic = symbolic::certainlyAcyclicIncrement(
-          candidate, groups, notI_, &stats_.sccSymbolicSteps);
+      cone = symbolic::incrementCone(candidate, groups, notI_,
+                                     &stats_.sccSymbolicSteps);
       stats_.addEngine(candidate.drainStats());
-      if (acyclic) {
+      if (cone.empty()) {
         stats_.sccFastPathHits += 1;
         commit(j, groups);
         return;
       }
     }
-    const symbolic::SccResult sccs = detectSccs(candidate);
+    const symbolic::SccResult sccs =
+        detectSccs(candidate, cone.states, cone.sources);
     for (const Bdd& c : sccs.components) {
       const Bdd bad = groups & c & sp_.onNext(c);
       if (!bad.isFalse()) groups = groups.minus(sp_.groupExpand(j, bad));
@@ -216,9 +220,16 @@ class Synthesizer {
     return d;
   }
 
-  [[nodiscard]] symbolic::SccResult detectSccs(const ImageEngine& engine) {
+  /// Nontrivial SCCs of the engine's relation inside `domain`, each of
+  /// which must hold a state of `seeds`.
+  [[nodiscard]] symbolic::SccResult detectSccs(const ImageEngine& engine,
+                                               const Bdd& domain,
+                                               const Bdd& seeds) {
     obs::AccumSpan timeIt(stats_.sccSeconds, "scc_detect", "scc");
-    symbolic::SccResult r = symbolic::nontrivialSccs(engine, notI_);
+    if (timeIt.span().active()) {
+      timeIt.span().arg("cone_states", sp_.enc().countStates(domain));
+    }
+    symbolic::SccResult r = symbolic::nontrivialSccs(engine, domain, seeds);
     stats_.addEngine(engine.drainStats());
     timeIt.span().arg("components", r.components.size());
     timeIt.span().arg("symbolic_steps", r.symbolicSteps);
@@ -284,17 +295,7 @@ StrongResult addStrongConvergence(const SymbolicProtocol& sp,
     out.remainingDeadlocks = syn.deadlocks();
     out.stats.totalSeconds += total.seconds();
     out.stats.programNodes = out.relation.nodeCount();
-    const bdd::ManagerStats& ms = sp.manager().stats();
-    out.stats.peakLiveNodes = ms.peakLiveNodes;
-    out.stats.peakReachableNodes = ms.peakReachableNodes;
-    out.stats.reorderRuns = ms.reorderRuns;
-    out.stats.reorderSeconds = ms.reorderSeconds;
-    out.stats.reorderNodesSaved = ms.reorderNodesBefore - ms.reorderNodesAfter;
-    out.stats.gcRuns = ms.gcRuns;
-    out.stats.cacheLookups = ms.cacheLookups;
-    out.stats.cacheHits = ms.cacheHits;
-    out.stats.cacheStores = ms.cacheStores;
-    out.stats.uniqueProbes = ms.uniqueProbes;
+    out.stats.copyManagerCounters(sp.manager().stats());
     synthSpan.arg("success", success);
     synthSpan.arg("pass", out.stats.passCompleted);
     synthSpan.arg("program_nodes", out.stats.programNodes);

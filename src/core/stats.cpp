@@ -3,6 +3,7 @@
 #include <cstdint>
 #include <cstdio>
 
+#include "bdd/bdd.hpp"
 #include "obs/json.hpp"
 #include "symbolic/frontier.hpp"
 
@@ -12,6 +13,19 @@ void SynthesisStats::addEngine(const symbolic::ImageEngineStats& e) {
   imageOps += e.imageCalls;
   preimageOps += e.preimageCalls;
   imagePartProducts += e.partProducts;
+}
+
+void SynthesisStats::copyManagerCounters(const bdd::ManagerStats& ms) {
+  peakLiveNodes = ms.peakLiveNodes;
+  peakReachableNodes = ms.peakReachableNodes;
+  reorderRuns = ms.reorderRuns;
+  reorderSeconds = ms.reorderSeconds;
+  reorderNodesSaved = ms.reorderNodesBefore - ms.reorderNodesAfter;
+  gcRuns = ms.gcRuns;
+  cacheLookups = ms.cacheLookups;
+  cacheHits = ms.cacheHits;
+  cacheStores = ms.cacheStores;
+  uniqueProbes = ms.uniqueProbes;
 }
 
 std::string SynthesisStats::summary() const {

@@ -7,6 +7,10 @@
 #include <cstddef>
 #include <string>
 
+namespace stsyn::bdd {
+struct ManagerStats;
+}  // namespace stsyn::bdd
+
 namespace stsyn::obs {
 class JsonWriter;
 }  // namespace stsyn::obs
@@ -87,6 +91,10 @@ struct SynthesisStats {
 
   /// Folds one engine's drained counters into this run's totals.
   void addEngine(const symbolic::ImageEngineStats& e);
+
+  /// Copies the manager's node, GC, reorder, cache and unique-table
+  /// counters (every field above that the manager owns).
+  void copyManagerCounters(const bdd::ManagerStats& ms);
 
   /// Average SCC size in BDD nodes (0 when no SCC was ever formed), the
   /// metric plotted in the paper's Figures 7 and 11.

@@ -170,8 +170,8 @@ class ImageEngine {
   void growPart(std::size_t i, const bdd::Bdd& delta);
 
   /// Work counters. Shared between an engine and every copy derived from
-  /// it (restricted() trim copies in particular), so fixpoints that spin
-  /// off restricted engines still account into the caller's engine.
+  /// it (restricted() copies in particular), so fixpoints that spin off
+  /// restricted engines still account into the caller's engine.
   [[nodiscard]] const ImageEngineStats& stats() const { return *stats_; }
 
   /// Returns and clears the counters (drain-style accounting into

@@ -70,25 +70,30 @@ bool hasInternalEdge(const ImageEngine& engine, const Bdd& scc) {
 /// Trims `domain` to its cycle core: repeatedly drop states with no
 /// successor or no predecessor inside the remaining set. Every non-trivial
 /// SCC survives, and on cycle-free graphs the core empties out in
-/// O(longest chain) rounds. The engine is re-restricted to the shrinking
-/// core so each round's operands keep getting smaller.
+/// O(longest chain) rounds. Each round is one preimage and one image of the
+/// core under the engine's own relation: building a copy of the relation
+/// restricted to the core each round costs more than both products (on
+/// two-ring, Release build on a 4-core x86-64 host: 13.4 s against 7.8 s
+/// of trimming).
 Bdd trimToCore(const ImageEngine& engine, const Bdd& domain,
                std::size_t& steps) {
-  ImageEngine r = engine.restricted(domain);
   Bdd core = domain;
   for (;;) {
-    const Bdd keep = core & r.sources() & r.targets();
+    const Bdd keep = engine.preimage(core, core) & engine.image(core, core);
     steps += 2;
-    if (keep == core) return core;
+    if (keep == core || keep.isFalse()) return keep;
     core = keep;
-    if (core.isFalse()) return core;
-    r = r.restricted(core);
   }
 }
 
 }  // namespace
 
 SccResult nontrivialSccs(const ImageEngine& engine, const Bdd& domain) {
+  return nontrivialSccs(engine, domain, domain);
+}
+
+SccResult nontrivialSccs(const ImageEngine& engine, const Bdd& domain,
+                         const Bdd& seeds) {
   const SymbolicProtocol& sp = engine.sp();
   obs::Span span("nontrivial_sccs", "scc");
   span.arg("partitioned", engine.partitioned());
@@ -99,14 +104,17 @@ SccResult nontrivialSccs(const ImageEngine& engine, const Bdd& domain) {
     while (!work.empty()) {
       Bdd v = std::move(work.back());
       work.pop_back();
-      if (v.isFalse()) continue;
+      // Every non-trivial SCC holds a seed, so a seedless set holds none.
+      const Bdd vSeeds = v & seeds;
+      if (vSeeds.isFalse()) continue;
       assert(v.implies(sp.enc().validCur()) &&
              "SCC work set escaped the valid state codes");
 
-      const Bdd pivot = sp.enc().stateBdd(sp.pickState(v));
+      const Bdd pivot = sp.enc().stateBdd(sp.pickState(vSeeds));
       const Lockstep ls = lockstep(engine, v, pivot, result.symbolicSteps);
 
-      if (hasInternalEdge(engine, ls.scc)) {
+      // An SCC larger than its pivot is non-trivial without further checks.
+      if (ls.scc != pivot || hasInternalEdge(engine, ls.scc)) {
         result.components.push_back(ls.scc);
       }
       // SCCs never straddle the converged set: recurse on both sides.
@@ -146,35 +154,42 @@ bool hasCycle(const SymbolicProtocol& sp, const Bdd& rel, const Bdd& domain) {
   return hasCycle(ImageEngine(sp, rel), domain);
 }
 
-bool certainlyAcyclicIncrement(const ImageEngine& combined, const Bdd& delta,
-                               const Bdd& domain, std::size_t* steps) {
+IncrementCone incrementCone(const ImageEngine& combined, const Bdd& delta,
+                            const Bdd& domain, std::size_t* steps) {
   const SymbolicProtocol& sp = combined.sp();
-  // Delta self-loops inside the domain are cycles outright.
-  if (!(delta & domain & sp.enc().diagonal()).isFalse()) return false;
-
+  std::size_t rounds = 0;
+  IncrementCone cone{sp.manager().falseBdd(), sp.manager().falseBdd()};
   const Bdd inDomain = sp.restrictRel(delta, domain);
-  if (inDomain.isFalse()) return true;  // delta never re-enters the domain
-  const Bdd sources = sp.sources(inDomain);
-  const Bdd targets = sp.image(inDomain, domain);
+  if (!inDomain.isFalse()) {
+    const Bdd sources = sp.sources(inDomain);
+    const Bdd targets = sp.image(inDomain, domain);
 
-  // BFS of the targets' forward cone under base ∪ delta, bailing out the
-  // moment it can touch a delta source (then a closing edge may exist).
-  Bdd reach = targets;
-  Bdd frontier = targets;
-  for (;;) {
-    if (!(frontier & sources).isFalse()) return false;  // inconclusive
-    frontier = combined.image(frontier, domain) & !reach;
-    if (steps != nullptr) ++*steps;
-    if (frontier.isFalse()) return true;  // cone closed without meeting them
-    reach |= frontier;
+    // F: the targets' forward closure under base ∪ delta. A delta
+    // self-loop puts its state in both sets, so it meets them at once.
+    Bdd reach = targets;
+    Bdd frontier = targets;
+    bool meetsSources = false;
+    do {
+      meetsSources = meetsSources || !(frontier & sources).isFalse();
+      frontier = combined.image(frontier, domain) & !reach;
+      ++rounds;
+      reach |= frontier;
+    } while (!frontier.isFalse());
+
+    // F ∩ B: what reaches a delta source without leaving F.
+    if (meetsSources) {
+      cone.sources = sources & reach;
+      cone.states = cone.sources;
+      Bdd back = cone.sources;
+      while (!back.isFalse()) {
+        back = combined.preimage(back, reach) & !cone.states;
+        ++rounds;
+        cone.states |= back;
+      }
+    }
   }
-}
-
-bool certainlyAcyclicIncrement(const SymbolicProtocol& sp, const Bdd& base,
-                               const Bdd& delta, const Bdd& domain,
-                               std::size_t* steps) {
-  return certainlyAcyclicIncrement(ImageEngine(sp, base | delta), delta,
-                                   domain, steps);
+  if (steps != nullptr) *steps += rounds;
+  return cone;
 }
 
 }  // namespace stsyn::symbolic

@@ -35,6 +35,13 @@ struct SccResult {
 [[nodiscard]] SccResult nontrivialSccs(const ImageEngine& engine,
                                        const bdd::Bdd& domain);
 
+/// The same, when every non-trivial SCC inside `domain` is known to hold a
+/// state of `seeds` (an IncrementCone and its sources): lockstep pivots are
+/// drawn from the seeds, and work sets without a seed are dropped.
+[[nodiscard]] SccResult nontrivialSccs(const ImageEngine& engine,
+                                       const bdd::Bdd& domain,
+                                       const bdd::Bdd& seeds);
+
 /// Monolithic-relation convenience overload.
 [[nodiscard]] SccResult nontrivialSccs(const SymbolicProtocol& sp,
                                        const bdd::Bdd& rel,
@@ -49,25 +56,33 @@ struct SccResult {
 [[nodiscard]] bool hasCycle(const SymbolicProtocol& sp, const bdd::Bdd& rel,
                             const bdd::Bdd& domain);
 
-/// Incremental one-sided acyclicity test over an engine holding base ∪
-/// delta. Precondition: (combined \ delta) restricted to `domain` is
-/// acyclic. Any cycle of combined|domain must then pass through a delta
-/// edge, so it is ruled out whenever the forward cone of delta's targets
-/// never meets delta's sources. Returns true when the combination is
-/// CERTAINLY acyclic; false means "possibly cyclic — run full SCC
-/// detection". This is the fast path that lets the synthesis of
-/// locally-correctable protocols (coloring) skip SCC detection entirely,
-/// mirroring the paper's observation that coloring never forms SCCs.
-[[nodiscard]] bool certainlyAcyclicIncrement(const ImageEngine& combined,
-                                             const bdd::Bdd& delta,
-                                             const bdd::Bdd& domain,
-                                             std::size_t* steps = nullptr);
+/// Where a batch `delta` added to an acyclic base can have closed a cycle.
+/// `states` is F ∩ B: F is the forward closure of delta's targets inside
+/// the domain, B the backward closure of `sources` within F. `sources` is
+/// delta's in-domain sources that lie in F. Both are false when the batch
+/// is certainly acyclic.
+struct IncrementCone {
+  bdd::Bdd states;
+  bdd::Bdd sources;
 
-/// Monolithic convenience overload over base ∪ delta.
-[[nodiscard]] bool certainlyAcyclicIncrement(const SymbolicProtocol& sp,
-                                             const bdd::Bdd& base,
-                                             const bdd::Bdd& delta,
-                                             const bdd::Bdd& domain,
-                                             std::size_t* steps = nullptr);
+  [[nodiscard]] bool empty() const { return states.isFalse(); }
+};
+
+/// The cone of a batch over an engine holding base ∪ delta.
+/// Precondition: (combined \ delta) restricted to `domain` is acyclic.
+/// Every cycle of combined|domain then passes through a delta edge (s,t),
+/// so its whole SCC lies in the cone and contains the cone source s. The
+/// cone is a union of SCCs of combined|domain, so SCC detection restricted
+/// to it, seeded from its sources, finds exactly the nontrivial SCCs of
+/// the whole domain. The forward BFS is the incremental fast path: when it
+/// closes without meeting a delta source the cone is empty and the BFS
+/// costs the same steps as a bare acyclicity test — the common case for
+/// locally-correctable protocols (coloring), mirroring the paper's
+/// observation that coloring never forms SCCs. Image and preimage rounds
+/// are added to `*steps`.
+[[nodiscard]] IncrementCone incrementCone(const ImageEngine& combined,
+                                          const bdd::Bdd& delta,
+                                          const bdd::Bdd& domain,
+                                          std::size_t* steps = nullptr);
 
 }  // namespace stsyn::symbolic

@@ -8,6 +8,7 @@
 #include <string>
 #include <vector>
 
+#include "casestudies/matching.hpp"
 #include "casestudies/token_ring.hpp"
 #include "cli/driver.hpp"
 #include "cli/options.hpp"
@@ -183,6 +184,27 @@ TEST(Driver, StatsDocumentCarriesDeadlineAndCacheFields) {
   EXPECT_NE(doc2.find("\"cache_hit\":true"), std::string::npos) << doc2;
   EXPECT_NE(doc2.find("\"deadline_exceeded\":true"), std::string::npos)
       << doc2;
+}
+
+TEST(Driver, WeakStatsDocumentCarriesManagerCounters) {
+  // The weak path does real BDD work; its stats document must report the
+  // manager's cache, unique-table and node counters, not zeros.
+  const protocol::Protocol p = casestudies::matching(5);
+  cli::Options opt;
+  opt.quiet = true;
+  opt.mode = cli::Mode::Weak;
+  cli::Report report;
+  std::ostringstream console;
+  const cli::RunOutcome r = cli::runProtocol(p, opt, report, console, console);
+  EXPECT_EQ(r.exitCode, 0);
+  ASSERT_TRUE(report.haveStats);
+  EXPECT_GT(report.stats.cacheLookups, 0u);
+  EXPECT_GT(report.stats.cacheStores, 0u);
+  EXPECT_LE(report.stats.cacheHits, report.stats.cacheLookups);
+  EXPECT_GT(report.stats.uniqueProbes, 0u);
+  EXPECT_GT(report.stats.peakLiveNodes, 0u);
+  const std::string doc = report.renderStatsJson();
+  EXPECT_EQ(doc.find("\"cache_lookups\":0,"), std::string::npos) << doc;
 }
 
 }  // namespace

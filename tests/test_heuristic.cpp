@@ -237,6 +237,23 @@ TEST(Heuristic, ColoringUsesTheFastPathOnly) {
   EXPECT_EQ(r.stats.sccComponentsFound, 0u);
 }
 
+TEST(Heuristic, Matching6SccWorkCountersGate) {
+  // Deterministic work counters of matching(6), identity schedule. Before
+  // SCC detection was confined to each batch's increment cone the run made
+  // 7 detection calls finding 486 components of 5643 BDD nodes in total,
+  // for 2620 symbolic steps. The cone must find the same components in
+  // strictly fewer steps.
+  const protocol::Protocol p = casestudies::matching(6);
+  const Encoding enc(p);
+  const SymbolicProtocol sp(enc);
+  const StrongResult r = addStrongConvergence(sp);
+  ASSERT_TRUE(r.success);
+  EXPECT_EQ(r.stats.sccDetectionCalls, 7u);
+  EXPECT_EQ(r.stats.sccComponentsFound, 486u);
+  EXPECT_EQ(r.stats.sccNodesTotal, 5643u);
+  EXPECT_LT(r.stats.sccSymbolicSteps, 2620u);
+}
+
 class ScheduleSweep : public ::testing::TestWithParam<std::size_t> {};
 
 TEST_P(ScheduleSweep, TokenRingSynthesisSucceedsForEveryRotation) {

@@ -281,6 +281,21 @@ TEST(PartitionedScc, AgreesWithMonolithic) {
             symbolic::hasCycle(engine, notI));
 }
 
+/// The increment cone of `delta` over a monolithic engine holding
+/// base ∪ delta.
+symbolic::IncrementCone coneOf(const SymbolicProtocol& sp, const Bdd& base,
+                               const Bdd& delta, const Bdd& domain) {
+  return symbolic::incrementCone(symbolic::ImageEngine(sp, base | delta),
+                                 delta, domain);
+}
+
+/// The counter states in `states`, as a BDD.
+Bdd statesOf(const Encoding& enc, std::initializer_list<int> states) {
+  Bdd out = enc.manager().falseBdd();
+  for (const int s : states) out |= enc.stateBdd(std::vector<int>{s});
+  return out;
+}
+
 TEST(IncrementalAcyclicity, CertainlyAcyclicWhenConeStaysClear) {
   const protocol::Protocol p = counterProtocol(8);
   const Encoding enc(p);
@@ -293,8 +308,10 @@ TEST(IncrementalAcyclicity, CertainlyAcyclicWhenConeStaysClear) {
       {2, 3}};
   const Bdd base = relationOf(enc, sp, baseEdges);
   const Bdd delta = relationOf(enc, sp, deltaEdges);
-  EXPECT_TRUE(
-      symbolic::certainlyAcyclicIncrement(sp, base, delta, enc.validCur()));
+  const symbolic::IncrementCone cone =
+      coneOf(sp, base, delta, enc.validCur());
+  EXPECT_TRUE(cone.empty());
+  EXPECT_TRUE(cone.sources.isFalse());
 }
 
 TEST(IncrementalAcyclicity, InconclusiveWhenDeltaClosesACycle) {
@@ -307,17 +324,25 @@ TEST(IncrementalAcyclicity, InconclusiveWhenDeltaClosesACycle) {
       {3, 1}};
   const Bdd base = relationOf(enc, sp, baseEdges);
   const Bdd delta = relationOf(enc, sp, deltaEdges);
-  EXPECT_FALSE(
-      symbolic::certainlyAcyclicIncrement(sp, base, delta, enc.validCur()));
+  const symbolic::IncrementCone cone =
+      coneOf(sp, base, delta, enc.validCur());
+  // The cone is exactly the closed cycle, seeded from the closing source.
+  EXPECT_EQ(cone.states, statesOf(enc, {1, 2, 3}));
+  EXPECT_EQ(cone.sources, statesOf(enc, {3}));
   // And the full check agrees there IS a cycle.
   EXPECT_TRUE(symbolic::hasCycle(sp, base | delta, enc.validCur()));
+  const symbolic::ImageEngine engine(sp, base | delta);
+  EXPECT_EQ(canonical(enc, symbolic::nontrivialSccs(engine, cone.states,
+                                                    cone.sources)
+                               .components),
+            (std::vector<std::vector<std::uint64_t>>{{1, 2, 3}}));
 }
 
 TEST(IncrementalAcyclicity, ConservativeOnNearMisses) {
   // delta target reaches a delta source but the closing edge goes
-  // elsewhere: the quick test must say "inconclusive" (false), and the
-  // full check must confirm acyclicity — i.e. the test errs only on the
-  // safe side.
+  // elsewhere: the cone is non-empty (the fast path cannot rule a cycle
+  // out), and detection inside it confirms acyclicity — i.e. the cone
+  // errs only on the safe side.
   const protocol::Protocol p = counterProtocol(8);
   const Encoding enc(p);
   const SymbolicProtocol sp(enc);
@@ -329,8 +354,16 @@ TEST(IncrementalAcyclicity, ConservativeOnNearMisses) {
       {0, 1}, {3, 4}};
   const Bdd base = relationOf(enc, sp, baseEdges);
   const Bdd delta = relationOf(enc, sp, deltaEdges);
-  EXPECT_FALSE(
-      symbolic::certainlyAcyclicIncrement(sp, base, delta, enc.validCur()));
+  const symbolic::IncrementCone cone =
+      coneOf(sp, base, delta, enc.validCur());
+  // F = {1,2,3,4}; source 0 lies outside F; B within F from {3} = {1,2,3}.
+  EXPECT_EQ(cone.states, statesOf(enc, {1, 2, 3}));
+  EXPECT_EQ(cone.sources, statesOf(enc, {3}));
+  const symbolic::ImageEngine engine(sp, base | delta);
+  EXPECT_TRUE(
+      symbolic::nontrivialSccs(engine, cone.states, cone.sources)
+          .components.empty());
+  EXPECT_FALSE(symbolic::hasCycle(engine, cone.states));
   EXPECT_FALSE(symbolic::hasCycle(sp, base | delta, enc.validCur()));
 }
 
@@ -341,11 +374,165 @@ TEST(IncrementalAcyclicity, SelfLoopDeltaAndOutOfDomainDelta) {
   const Bdd base = enc.manager().falseBdd();
   const std::vector<std::pair<std::uint64_t, std::uint64_t>> loop{{2, 2}};
   const Bdd selfLoop = relationOf(enc, sp, loop);
-  EXPECT_FALSE(
-      symbolic::certainlyAcyclicIncrement(sp, base, selfLoop, enc.validCur()));
+  const symbolic::IncrementCone cone =
+      coneOf(sp, base, selfLoop, enc.validCur());
+  EXPECT_EQ(cone.states, statesOf(enc, {2}));
+  EXPECT_EQ(cone.sources, statesOf(enc, {2}));
   // Same delta, but the domain excludes state 2: the loop is irrelevant.
   const Bdd domain = enc.validCur() & !enc.stateBdd(std::vector<int>{2});
-  EXPECT_TRUE(symbolic::certainlyAcyclicIncrement(sp, base, selfLoop, domain));
+  EXPECT_TRUE(coneOf(sp, base, selfLoop, domain).empty());
 }
+
+/// Explicit forward closure of `from` inside `domain`.
+std::vector<bool> closure(
+    const std::vector<std::vector<std::uint64_t>>& succ,
+    const std::vector<bool>& domain, std::vector<bool> from) {
+  std::vector<std::uint64_t> stack;
+  for (std::uint64_t s = 0; s < from.size(); ++s) {
+    if (from[s]) stack.push_back(s);
+  }
+  while (!stack.empty()) {
+    const std::uint64_t s = stack.back();
+    stack.pop_back();
+    for (const std::uint64_t t : succ[s]) {
+      if (domain[t] && !from[t]) {
+        from[t] = true;
+        stack.push_back(t);
+      }
+    }
+  }
+  return from;
+}
+
+Bdd statesWhere(const Encoding& enc, const std::vector<bool>& member) {
+  Bdd out = enc.manager().falseBdd();
+  for (std::size_t s = 0; s < member.size(); ++s) {
+    if (member[s]) out |= enc.stateBdd(std::vector<int>{static_cast<int>(s)});
+  }
+  return out;
+}
+
+class IncrementConeRandom : public ::testing::TestWithParam<std::uint64_t> {};
+
+// Random acyclic base plus a random batch, against explicit oracles: the
+// cone equals the explicit F ∩ B, an empty cone means Tarjan finds no
+// cycle (the converse fails on near misses), and seeded detection inside
+// it finds exactly Tarjan's nontrivial SCCs of the whole domain. Seeds cycle through four batch
+// shapes: arbitrary edges, edges plus an in-domain self-loop, edges that
+// all leave the domain, and edges against the base's topological order.
+TEST_P(IncrementConeRandom, ConeSccsEqualTarjanOnTheWholeDomain) {
+  const int n = 24;
+  const protocol::Protocol p = counterProtocol(n);
+  const Encoding enc(p);
+  const SymbolicProtocol sp(enc);
+  const explicitstate::StateSpace space(p);
+  util::Rng rng(GetParam());
+
+  const std::vector<std::size_t> topo = rng.permutation(n);
+  std::vector<std::size_t> rank(n);
+  for (std::size_t i = 0; i < topo.size(); ++i) rank[topo[i]] = i;
+  std::vector<bool> domain(n, true);
+  for (int i = 0; i < 4; ++i) domain[rng.below(n)] = false;
+
+  using Edges = std::vector<std::pair<std::uint64_t, std::uint64_t>>;
+  Edges baseEdges;
+  const std::size_t baseCount = 20 + rng.below(30);
+  for (std::size_t i = 0; i < baseCount; ++i) {
+    std::uint64_t a = rng.below(n);
+    std::uint64_t b = rng.below(n);
+    if (a == b) continue;
+    if (rank[a] > rank[b]) std::swap(a, b);
+    baseEdges.emplace_back(a, b);
+  }
+  std::vector<std::uint64_t> inside;
+  std::vector<std::uint64_t> outside;
+  for (std::uint64_t s = 0; s < static_cast<std::uint64_t>(n); ++s) {
+    (domain[s] ? inside : outside).push_back(s);
+  }
+  ASSERT_FALSE(outside.empty());
+  const std::uint64_t shape = GetParam() % 4;
+  Edges deltaEdges;
+  const std::size_t deltaCount = 1 + rng.below(6);
+  for (std::size_t i = 0; i < deltaCount; ++i) {
+    std::uint64_t a = inside[rng.below(inside.size())];
+    std::uint64_t b = rng.below(n);
+    if (shape == 2) b = outside[rng.below(outside.size())];
+    if (shape == 3 && rank[a] < rank[b]) std::swap(a, b);
+    deltaEdges.emplace_back(a, b);
+  }
+  if (shape == 1) {
+    const std::uint64_t s = inside[rng.below(inside.size())];
+    deltaEdges.emplace_back(s, s);
+  }
+
+  const Bdd base = relationOf(enc, sp, baseEdges);
+  const Bdd delta = relationOf(enc, sp, deltaEdges);
+  const Bdd domainBdd = statesWhere(enc, domain);
+  const symbolic::ImageEngine engine(sp, base | delta);
+  const symbolic::IncrementCone cone =
+      symbolic::incrementCone(engine, delta, domainBdd);
+
+  // Explicit F ∩ B.
+  Edges all = baseEdges;
+  all.insert(all.end(), deltaEdges.begin(), deltaEdges.end());
+  std::vector<std::vector<std::uint64_t>> succ(n);
+  std::vector<std::vector<std::uint64_t>> pred(n);
+  std::vector<bool> targets(n, false);
+  std::vector<bool> sources(n, false);
+  for (const auto& [a, b] : all) {
+    succ[a].push_back(b);
+    pred[b].push_back(a);
+  }
+  for (const auto& [a, b] : deltaEdges) {
+    if (domain[a] && domain[b]) targets[b] = sources[a] = true;
+  }
+  const std::vector<bool> f = closure(succ, domain, targets);
+  std::vector<bool> seeds(n, false);
+  bool meets = false;
+  for (int s = 0; s < n; ++s) {
+    seeds[s] = f[s] && sources[s];
+    meets = meets || seeds[s];
+  }
+  const std::vector<bool> fb = closure(pred, f, seeds);
+  if (meets) {
+    EXPECT_EQ(cone.states, statesWhere(enc, fb));
+    EXPECT_EQ(cone.sources, statesWhere(enc, seeds));
+  } else {
+    EXPECT_TRUE(cone.empty());
+  }
+  if (shape == 1) {
+    EXPECT_FALSE(cone.empty());
+  }
+  if (shape == 2) {
+    EXPECT_TRUE(cone.empty());
+  }
+
+  std::vector<std::pair<explicitstate::StateId, explicitstate::StateId>>
+      explicitEdges(all.begin(), all.end());
+  const auto ts = explicitstate::fromEdges(space, explicitEdges);
+  std::vector<std::pair<explicitstate::StateId, explicitstate::StateId>>
+      explicitBase(baseEdges.begin(), baseEdges.end());
+  ASSERT_TRUE(explicitstate::nontrivialSccs(
+                  explicitstate::fromEdges(space, explicitBase), domain)
+                  .empty());
+  const auto tarjan =
+      canonicalExplicit(explicitstate::nontrivialSccs(ts, domain));
+  if (cone.empty()) {
+    EXPECT_TRUE(tarjan.empty());
+  }
+  EXPECT_EQ(canonical(enc, symbolic::nontrivialSccs(engine, cone.states,
+                                                    cone.sources)
+                               .components),
+            tarjan)
+      << "seed " << GetParam();
+  EXPECT_EQ(canonical(enc,
+                      symbolic::nontrivialSccs(engine, domainBdd).components),
+            tarjan);
+  EXPECT_EQ(!cone.empty() && symbolic::hasCycle(engine, cone.states),
+            !tarjan.empty());
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, IncrementConeRandom,
+                         ::testing::Range<std::uint64_t>(0, 24));
 
 }  // namespace

@@ -19,6 +19,7 @@
 #include <fstream>
 #include <map>
 #include <memory>
+#include <regex>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -149,10 +150,13 @@ std::string moduloId(const std::string& payload) {
 }
 
 /// Replaces the values of wall-clock fields ("ranking_seconds":1.2e-05)
+/// and the console summary's durations ("total 0.001s", printed as %.3fs)
 /// with a fixed token. Two separately-synthesized runs of the same input
 /// agree on every byte EXCEPT measured durations; the differential wants
 /// to pin exactly that.
 std::string moduloTimings(std::string payload) {
+  payload = std::regex_replace(payload, std::regex(R"(\b\d+\.\d{3}s\b)"),
+                               "Ts");
   std::size_t at = 0;
   while ((at = payload.find("_seconds\":", at)) != std::string::npos) {
     const std::size_t valueStart = at + 10;
@@ -168,6 +172,17 @@ std::string moduloTimings(std::string payload) {
     at = valueStart;
   }
   return payload;
+}
+
+TEST(ServeV2, ModuloTimingsMasksEveryDuration) {
+  // Two runs straddling a millisecond boundary must compare equal.
+  EXPECT_EQ(moduloTimings(R"({"ranking_seconds":1.2e-05,"x":"ranking )"
+                          R"(0.000s, scc 0.000s (3 calls), total 0.001s\n"})"),
+            moduloTimings(R"({"ranking_seconds":0.0004,"x":"ranking )"
+                          R"(0.001s, scc 0.000s (3 calls), total 0.002s\n"})"));
+  // Non-durations are kept.
+  EXPECT_EQ(moduloTimings("avg scc 9.8 nodes, M=4"),
+            "avg scc 9.8 nodes, M=4");
 }
 
 struct RunningServer {
